@@ -31,7 +31,7 @@ use aq2pnn::{ProtocolConfig, ReluMode, ReluRounds};
 use aq2pnn_ot::{lut_fallback_hits, OtGroup};
 use aq2pnn_ring::{Ring, RingTensor};
 use aq2pnn_sharing::{AShare, PartyId};
-use aq2pnn_transport::ChannelStats;
+use aq2pnn_transport::{duplex, ChannelStats};
 use criterion::{all_results, criterion_group, BenchmarkId, Criterion};
 use rand::SeedableRng;
 use std::io::Write;
@@ -365,7 +365,7 @@ fn run_sign(
 ) -> (Vec<u8>, ChannelStats, ChannelStats) {
     let ring = cfg.q1();
     let (s0, s1) = (s0.to_vec(), s1.to_vec());
-    let ((flags, st0), (_, st1)) = run_pair(cfg, move |ctx| {
+    let ((flags, st0), (_, st1)) = run_pair(duplex(), cfg, move |ctx| {
         if reference {
             ctx.group = OtGroup::power_of_two_reference(ctx.cfg.q1_bits);
         } else {

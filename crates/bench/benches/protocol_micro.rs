@@ -7,7 +7,7 @@
 
 use aq2pnn::abrelu::abrelu;
 use aq2pnn::gemm::secure_matmul;
-use aq2pnn::sim::{run_pair, run_two_party};
+use aq2pnn::sim::{run_pair, run_two_party, RunPlan};
 use aq2pnn::ProtocolConfig;
 use aq2pnn_gc::circuit::{encode_inputs, relu_on_shares};
 use aq2pnn_gc::evaluate::{decode_with, evaluate};
@@ -87,7 +87,7 @@ fn bench_gemm(c: &mut Criterion) {
         c.bench_with_input(BenchmarkId::new("gemm/secure_matmul", size), &size, |bch, _| {
             bch.iter(|| {
                 let (a0, a1, b0, b1) = (a0.clone(), a1.clone(), b0.clone(), b1.clone());
-                run_pair(&cfg, move |ctx| {
+                run_pair(duplex(), &cfg, move |ctx| {
                     let (x, w) = match ctx.id {
                         PartyId::User => (a0.clone(), b0.clone()),
                         PartyId::ModelProvider => (a1.clone(), b1.clone()),
@@ -109,7 +109,7 @@ fn bench_abrelu(c: &mut Criterion) {
         c.bench_with_input(BenchmarkId::new("abrelu/512_elems", bits), &bits, |bch, _| {
             bch.iter(|| {
                 let (s0, s1) = (s0.clone(), s1.clone());
-                run_pair(&cfg, move |ctx| {
+                run_pair(duplex(), &cfg, move |ctx| {
                     let mine = match ctx.id {
                         PartyId::User => s0.clone(),
                         PartyId::ModelProvider => s1.clone(),
@@ -146,7 +146,7 @@ fn bench_inference(c: &mut Criterion) {
     let mut group = c.benchmark_group("inference");
     group.sample_size(10);
     group.bench_function("tiny_cnn_2pc_full", |b| {
-        b.iter(|| run_two_party(&model, &cfg, &image, 0).unwrap());
+        b.iter(|| run_two_party(duplex(), &model, &cfg, &[&image], &RunPlan::default()).unwrap());
     });
     group.bench_function("tiny_cnn_plaintext_int8", |b| {
         b.iter(|| model.forward(black_box(&image)).unwrap());

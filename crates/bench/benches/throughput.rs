@@ -2,7 +2,7 @@
 //! prepared LeNet5 pipeline as the batch size `B` grows, with the offline
 //! dealer inline (cold) vs. backgrounded and pre-warmed (warm).
 //!
-//! The harness mirrors `sim::run_two_party_service` but times every
+//! The harness mirrors `sim::run_two_party` but times every
 //! online pass individually on the user side. Passes are separated by a
 //! think-time gap (a request-arrival interval, not counted) — the regime
 //! the background dealer exists for: with gaps between requests, triple

@@ -6,12 +6,13 @@
 //! 3. single-round vs lazy (quadrant-gated) OT scheduling;
 //! 4. headroom sweep substantiating the paper's "+4 bits" rule.
 
-use aq2pnn::sim::run_two_party;
+use aq2pnn::sim::{run_two_party, RunPlan};
 use aq2pnn::{PipelineMode, ProtocolConfig, ReluMode, ReluRounds};
 use aq2pnn_bench::{header, train_tiny};
 use aq2pnn_nn::tensor::argmax_i64;
 use aq2pnn_nn::zoo;
 use aq2pnn_ring::{extend, Ring};
+use aq2pnn_transport::duplex;
 
 fn main() {
     let m = train_tiny(&zoo::tiny_cnn(4), 4, 91);
@@ -30,9 +31,10 @@ fn main() {
     ] {
         let mut agree = 0;
         for s in m.data.test().iter().take(n_eval) {
-            let run = run_two_party(&m.quant, &cfg, &s.image, 0).expect("2pc runs");
+            let run = run_two_party(duplex(), &m.quant, &cfg, &[&s.image], &RunPlan::default())
+                .expect("2pc runs");
             let plain = m.quant.forward(&s.image).expect("plaintext");
-            if argmax_i64(&run.logits) == argmax_i64(&plain) {
+            if argmax_i64(&run.logits[0]) == argmax_i64(&plain) {
                 agree += 1;
             }
         }
@@ -43,7 +45,14 @@ fn main() {
     for mode in [ReluMode::RevealedSign, ReluMode::MaskedMux] {
         let mut cfg = ProtocolConfig::paper(16);
         cfg.relu_mode = mode;
-        let run = run_two_party(&m.quant, &cfg, &m.data.test()[0].image, 0).expect("runs");
+        let run = run_two_party(
+            duplex(),
+            &m.quant,
+            &cfg,
+            &[&m.data.test()[0].image],
+            &RunPlan::default(),
+        )
+        .expect("runs");
         println!(
             "{mode:?}: {:>8} B online, {} msgs   (masked hides the sign \
              pattern from party 0 at the cost of one width-ℓ OT per \
@@ -57,7 +66,14 @@ fn main() {
     for rounds in [ReluRounds::Single, ReluRounds::Lazy] {
         let mut cfg = ProtocolConfig::paper(16);
         cfg.relu_rounds = rounds;
-        let run = run_two_party(&m.quant, &cfg, &m.data.test()[0].image, 0).expect("runs");
+        let run = run_two_party(
+            duplex(),
+            &m.quant,
+            &cfg,
+            &[&m.data.test()[0].image],
+            &RunPlan::default(),
+        )
+        .expect("runs");
         println!(
             "{rounds:?}: {:>8} B online, {} msgs",
             run.user_stats.online_total_bytes() + run.provider_stats.online_total_bytes(),

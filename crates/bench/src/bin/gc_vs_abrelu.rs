@@ -13,6 +13,7 @@ use aq2pnn_gc::circuit::relu_on_shares;
 use aq2pnn_gc::cost::GcCost;
 use aq2pnn_ring::RingTensor;
 use aq2pnn_sharing::{AShare, PartyId};
+use aq2pnn_transport::duplex;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -23,7 +24,7 @@ fn abrelu_bytes_per_elem(bits: u32, n: usize) -> f64 {
     let vals: Vec<i64> = (0..n as i64).map(|i| i * 7 - 100).collect();
     let t = RingTensor::from_signed(ring, vec![n], &vals).expect("fits");
     let (s0, s1) = AShare::share(&t, &mut rng);
-    let (bytes, _) = run_pair(&cfg, move |ctx| {
+    let (bytes, _) = run_pair(duplex(), &cfg, move |ctx| {
         let mine = match ctx.id {
             PartyId::User => s0.clone(),
             PartyId::ModelProvider => s1.clone(),

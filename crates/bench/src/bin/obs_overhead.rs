@@ -43,6 +43,7 @@ use aq2pnn_server::{
     ModelRegistry, ServerConfig, ServerObs,
 };
 use aq2pnn_sharing::{AShare, PartyId};
+use aq2pnn_transport::duplex;
 use rand::SeedableRng;
 use std::io::Write;
 use std::process::ExitCode;
@@ -72,7 +73,7 @@ fn make_shares(bits: u32, n: usize) -> (Vec<u64>, Vec<u64>, Vec<u8>) {
 fn run_sign(cfg: &ProtocolConfig, s0: &[u64], s1: &[u64], traced: bool) -> Vec<u8> {
     let ring = cfg.q1();
     let (s0, s1) = (s0.to_vec(), s1.to_vec());
-    let (flags, _) = run_pair(cfg, move |ctx| {
+    let (flags, _) = run_pair(duplex(), cfg, move |ctx| {
         if traced {
             ctx.set_obs(Tracer::new(), MetricsRegistry::new());
         }
@@ -95,7 +96,7 @@ fn run_sign(cfg: &ProtocolConfig, s0: &[u64], s1: &[u64], traced: bool) -> Vec<u
 fn time_sign(cfg: &ProtocolConfig, s0: &[u64], s1: &[u64], traced: bool, iters: u32) -> f64 {
     let ring = cfg.q1();
     let (s0, s1) = (s0.to_vec(), s1.to_vec());
-    let (user_ns, _) = run_pair(cfg, move |ctx| {
+    let (user_ns, _) = run_pair(duplex(), cfg, move |ctx| {
         if traced {
             ctx.set_obs(Tracer::new(), MetricsRegistry::new());
         }

@@ -638,6 +638,7 @@ mod tests {
     use crate::ProtocolConfig;
     use aq2pnn_ring::Ring;
     use aq2pnn_sharing::a2b::split_groups;
+    use aq2pnn_transport::duplex;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -756,7 +757,7 @@ mod tests {
     fn relu_case(cfg: ProtocolConfig, vals: Vec<i64>) {
         let ring = cfg.q1();
         let (s0, s1) = share_vals(ring, &vals, 77);
-        let (o0, o1) = run_pair(&cfg, move |ctx| {
+        let (o0, o1) = run_pair(duplex(), &cfg, move |ctx| {
             let mine = match ctx.id {
                 PartyId::User => s0.clone(),
                 PartyId::ModelProvider => s1.clone(),
@@ -810,7 +811,7 @@ mod tests {
             let vals: Vec<i64> = (0..64).map(|i| if i % 2 == 0 { 20000 } else { -20000 }).collect();
             let ring = cfg.q1();
             let (s0, s1) = share_vals(ring, &vals, 9);
-            let (o0, _) = run_pair(&cfg, move |ctx| {
+            let (o0, _) = run_pair(duplex(), &cfg, move |ctx| {
                 let mine = match ctx.id {
                     PartyId::User => s0.clone(),
                     PartyId::ModelProvider => s1.clone(),
@@ -834,7 +835,7 @@ mod tests {
         let cfg = ProtocolConfig::paper(12);
         let wrong = cfg.q2(); // shares on the MAC ring, not the Q1 carrier
         let (s0, s1) = share_vals(wrong, &[1, -2, 3], 5);
-        let (r0, r1) = run_pair(&cfg, move |ctx| {
+        let (r0, r1) = run_pair(duplex(), &cfg, move |ctx| {
             let mine = match ctx.id {
                 PartyId::User => s0.clone(),
                 PartyId::ModelProvider => s1.clone(),
@@ -860,7 +861,7 @@ mod tests {
         let flags = vec![1u8, 0, 0, 1];
         let (s0, s1) = share_vals(ring, &vals, 13);
         let fl = flags.clone();
-        let (o0, o1) = run_pair(&cfg, move |ctx| {
+        let (o0, o1) = run_pair(duplex(), &cfg, move |ctx| {
             let mine = match ctx.id {
                 PartyId::User => s0.clone(),
                 PartyId::ModelProvider => s1.clone(),

@@ -21,45 +21,26 @@
 //!
 //! The input-independent part of that work — weight share derivation, GEMM
 //! layout transposition, triple-lane creation, the one-time `offline-f`
-//! weight-mask openings — lives in [`crate::prepared`]; [`run_party`] is a
-//! thin [`PreparedModel::prepare`]-then-[`PreparedModel::run`] wrapper, and
-//! services running many inferences over one session should prepare once
-//! and call [`PreparedModel::run`] per input.
+//! weight-mask openings — lives in [`crate::prepared`]. The online path is
+//! [`crate::prepared::PreparedModel::run_batch`]: each party prepares once
+//! per session and then runs `B ≥ 1` inputs per pass (a single image is a
+//! pass at `B = 1`). [`crate::sim::run_two_party`] drives both parties of
+//! that path on two threads.
 //!
 //! Communication is tagged per operator (`conv3`, `abrelu7`, …) so the
 //! Table 5 operator profile can be read directly off the channel stats.
 
 use crate::abrelu::{mux_by_receiver, secure_sign};
-use crate::prepared::PreparedModel;
 use crate::{PartyContext, ProtocolError, ReluMode};
 use aq2pnn_nn::quant::{QuantModel, QuantOp};
 use aq2pnn_ring::{ct, RingTensor};
 use aq2pnn_sharing::AShare;
 use aq2pnn_transport::ChannelStats;
 
-/// What a party brings to the inference.
-#[derive(Debug, Clone, Copy)]
-pub enum PartyInput<'a> {
-    /// Party 0: the private image (float CHW; quantized with the model's
-    /// public input scale).
-    User(&'a [f32]),
-    /// Party 1: contributes the model weights, no runtime input.
-    Provider,
-}
-
-/// Result of one party's inference run.
-#[derive(Debug, Clone)]
-pub struct InferenceOutput {
-    /// Recovered integer logits (the function output, revealed to both).
-    pub logits: Vec<i64>,
-    /// This party's channel statistics for the run.
-    pub stats: ChannelStats,
-}
-
 /// What a party brings to a **batched** online pass
-/// ([`PreparedModel::run_batch`]): the user its `B` private images, the
-/// provider the (public) batch size so both sides walk the same widened
-/// shapes.
+/// ([`crate::prepared::PreparedModel::run_batch`]): the user its `B`
+/// private images, the provider the (public) batch size so both sides walk
+/// the same widened shapes.
 #[derive(Debug, Clone, Copy)]
 pub enum BatchInput<'a> {
     /// Party 0: the private images (float CHW, one slice per image).
@@ -88,45 +69,9 @@ impl BatchInput<'_> {
 pub struct BatchOutput {
     /// Recovered integer logits, one vector per image, in input order.
     pub logits: Vec<Vec<i64>>,
-    /// This party's channel statistics (the endpoint's running total, as
-    /// with [`InferenceOutput::stats`]).
+    /// This party's channel statistics (the endpoint's running total,
+    /// preparation traffic included unless the caller reset it).
     pub stats: ChannelStats,
-}
-
-/// Runs one secure inference as `ctx.id`. Must be called concurrently by
-/// both parties over a connected channel pair, with identical `model` and
-/// configuration.
-///
-/// This is the single-shot convenience path: it prepares the model
-/// ([`PreparedModel::prepare`]) and runs one inference
-/// ([`PreparedModel::run`]). Callers issuing many inferences over one
-/// session should prepare once themselves and reuse the
-/// [`PreparedModel`] — repeated runs then skip all weight-share PRG
-/// derivation and `offline-f` traffic.
-///
-/// # Errors
-///
-/// Returns a [`ProtocolError`] on channel failure, desync, or a model the
-/// engine cannot lower.
-pub fn run_party(
-    ctx: &mut PartyContext,
-    model: &QuantModel,
-    input: PartyInput<'_>,
-) -> Result<InferenceOutput, ProtocolError> {
-    ctx.ep.reset_stats();
-    // Validate the pairing before preparation opens the channel, so misuse
-    // errors out instead of desyncing mid-handshake.
-    match (ctx.id, &input) {
-        (aq2pnn_sharing::PartyId::User, PartyInput::User(_))
-        | (aq2pnn_sharing::PartyId::ModelProvider, PartyInput::Provider) => {}
-        _ => {
-            return Err(ProtocolError::Model(
-                "party/input mismatch: user must pass User(image), provider Provider".into(),
-            ))
-        }
-    }
-    let mut prepared = PreparedModel::prepare(ctx, model)?;
-    prepared.run(ctx, input)
 }
 
 /// Tournament 2PC-MaxPool over precomputed windows: `⌈log₂(k²)⌉` batched

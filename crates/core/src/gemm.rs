@@ -145,7 +145,16 @@ pub fn secure_matmul_expanded(
     // One-time opening of F = W − B (offline phase, pre-deployed mask).
     let f = open_weight_mask(ctx, w_share, &triple.b)?;
 
-    expanded_online(ctx, in_share, w_share, &f, &triple, expand)
+    secure_matmul_prepared(
+        ctx,
+        in_share,
+        1,
+        in_share.shape(),
+        w_share,
+        &f,
+        std::slice::from_ref(&triple),
+        expand,
+    )
 }
 
 /// Opens the weight mask `F = W − B` under the `offline-f` phase — the
@@ -184,38 +193,16 @@ pub fn open_weight_mask(
 
 /// Online-only structured AS-GEMM for prepared models: the weight mask `F`
 /// was opened once at preparation time ([`open_weight_mask`]) and the
-/// triple comes from a resident
+/// triples come from a resident
 /// [`aq2pnn_sharing::dealer::TripleLane`], so each call performs only the
-/// per-inference `E = IN − A` exchange and the local Eq. 1 evaluation.
+/// per-inference `E = IN − A` exchange and the local Eq. 1 evaluation. At
+/// `b = 1` it is also the online half of [`secure_matmul_expanded`].
 ///
-/// # Errors
-///
-/// Propagates transport failures; returns [`ProtocolError::Desync`] on
-/// mismatched message sizes and [`ProtocolError::Shape`] on malformed
-/// operands.
-pub fn secure_matmul_prepared(
-    ctx: &mut PartyContext,
-    in_share: &AShare,
-    w_share: &AShare,
-    f_open: &RingTensor,
-    triple: &TripleShare,
-    expand: impl Fn(&RingTensor) -> RingTensor,
-) -> Result<AShare, ProtocolError> {
-    let ring = in_share.ring();
-    if w_share.shape().len() != 2 || ring != w_share.ring() {
-        return Err(ProtocolError::Shape(aq2pnn_ring::ShapeError::ShapeMismatch {
-            lhs: in_share.shape().to_vec(),
-            rhs: w_share.shape().to_vec(),
-        }));
-    }
-    expanded_online(ctx, in_share, w_share, f_open, triple, expand)
-}
-
-/// Batched online AS-GEMM for prepared models: `b` images share **one**
-/// `E` exchange (all masks concatenated, one round-trip) and Eq. 1 is then
-/// evaluated as a single stacked GEMM whose row axis grows `b×` — the ring
-/// kernels see `[b·m, k] ⊗ [k, n]`, so per-call overheads (thread fan-out,
-/// round latency) amortize across the batch.
+/// `b` images share **one** `E` exchange (all masks concatenated, one
+/// round-trip) and Eq. 1 is then evaluated as a single stacked GEMM whose
+/// row axis grows `b×` — the ring kernels see `[b·m, k] ⊗ [k, n]`, so
+/// per-call overheads (thread fan-out, round latency) amortize across the
+/// batch.
 ///
 /// `in_share` holds the `b` images' shares concatenated (flat,
 /// `b · ∏item_shape` elements); `item_shape` is the per-image feature-map
@@ -230,7 +217,7 @@ pub fn secure_matmul_prepared(
 /// mismatched message sizes and [`ProtocolError::Shape`] on malformed
 /// operands.
 #[allow(clippy::too_many_arguments)]
-pub fn secure_matmul_prepared_batch(
+pub fn secure_matmul_prepared(
     ctx: &mut PartyContext,
     in_share: &AShare,
     b: usize,
@@ -327,35 +314,12 @@ pub fn secure_matmul_prepared_batch(
     Ok(AShare::from_tensor(out))
 }
 
-/// The per-inference core shared by [`secure_matmul_expanded`] and
-/// [`secure_matmul_prepared`]: the `b = 1` case of
-/// [`secure_matmul_prepared_batch`].
-fn expanded_online(
-    ctx: &mut PartyContext,
-    in_share: &AShare,
-    w_share: &AShare,
-    f: &RingTensor,
-    triple: &TripleShare,
-    expand: impl Fn(&RingTensor) -> RingTensor,
-) -> Result<AShare, ProtocolError> {
-    let item_shape = in_share.shape().to_vec();
-    secure_matmul_prepared_batch(
-        ctx,
-        in_share,
-        1,
-        &item_shape,
-        w_share,
-        f,
-        std::slice::from_ref(triple),
-        expand,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::sim::run_pair;
     use crate::ProtocolConfig;
+    use aq2pnn_transport::duplex;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -401,7 +365,7 @@ mod tests {
         let (a0, a1) = share_pair(ring, vec![2, 3], &a_vals, 11);
         let (b0, b1) = share_pair(ring, vec![3, 4], &b_vals, 12);
 
-        let (o0, o1) = run_pair(&cfg, move |ctx| {
+        let (o0, o1) = run_pair(duplex(), &cfg, move |ctx| {
             let (ins, ws) = match ctx.id {
                 PartyId::User => (a0.clone(), b0.clone()),
                 PartyId::ModelProvider => (a1.clone(), b1.clone()),
@@ -421,7 +385,7 @@ mod tests {
         let ring = cfg.q1();
         let (a0, a1) = share_pair(ring, vec![4, 4], &[1; 16], 3);
         let (b0, b1) = share_pair(ring, vec![4, 4], &[2; 16], 4);
-        let (o0, _o1) = run_pair(&cfg, move |ctx| {
+        let (o0, _o1) = run_pair(duplex(), &cfg, move |ctx| {
             let (ins, ws) = match ctx.id {
                 PartyId::User => (a0.clone(), b0.clone()),
                 PartyId::ModelProvider => (a1.clone(), b1.clone()),
@@ -441,7 +405,7 @@ mod tests {
         let ring = cfg.q1();
         let (a0, a1) = share_pair(ring, vec![2, 3], &[0; 6], 5);
         let (b0, b1) = share_pair(ring, vec![2, 3], &[0; 6], 6);
-        let (r0, _r1) = run_pair(&cfg, move |ctx| {
+        let (r0, _r1) = run_pair(duplex(), &cfg, move |ctx| {
             let (ins, ws) = match ctx.id {
                 PartyId::User => (a0.clone(), b0.clone()),
                 PartyId::ModelProvider => (a1.clone(), b1.clone()),

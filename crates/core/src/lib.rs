@@ -39,17 +39,18 @@
 //!   `Q1` (activation carrier / ABReLU wire width) and `Q2` (MAC ring).
 //! * [`instq`] — the INST Q compiler (paper Sec. 4.1.1): lowers a model to
 //!   the accelerator instruction stream consumed by the FPGA simulator.
-//! * [`sim`] — two-thread harness running both parties over an in-process
-//!   duplex link, used by tests, examples and benches. The `_over`
-//!   variants ([`sim::run_two_party_over`], [`sim::run_pair_over`]) accept
-//!   caller-supplied endpoints, so the same protocol code runs unchanged
-//!   over a TCP loopback session or a fault-injected link (see
+//! * [`sim`] — two-thread harness running both parties, used by tests,
+//!   examples and benches: [`sim::run_pair`] for any protocol closure,
+//!   [`sim::run_two_party`] for a model session. Both take an endpoint
+//!   pair, so the same protocol code runs unchanged over an in-process
+//!   duplex link, a TCP loopback session or a fault-injected link (see
 //!   `aq2pnn_transport`'s session stack and `tests/transport_faults.rs`).
 //!
 //! # Quickstart
 //!
 //! ```
 //! use aq2pnn::{sim, ProtocolConfig};
+//! use aq2pnn_transport::duplex;
 //! use aq2pnn_nn::{data::SyntheticVision, float::FloatNet, quant::{QuantConfig, QuantModel}, zoo};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -61,8 +62,10 @@
 //!
 //! // Run one private inference between two in-process parties.
 //! let cfg = ProtocolConfig::exact(16);
-//! let out = sim::run_two_party(&model, &cfg, &data.test()[0].image, 1)?;
-//! assert_eq!(out.logits.len(), 4);
+//! let image = data.test()[0].image.as_slice();
+//! let plan = sim::RunPlan::default();
+//! let out = sim::run_two_party(duplex(), &model, &cfg, &[image], &plan)?;
+//! assert_eq!(out.logits[0].len(), 4);
 //! # Ok(())
 //! # }
 //! ```

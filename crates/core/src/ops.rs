@@ -8,7 +8,7 @@
 //! shows BNReQ barely improving with bit-width); average pooling is an
 //! AS-ALU sum plus a dyadic requant.
 
-use crate::gemm::{secure_matmul_expanded, secure_matmul_prepared, secure_matmul_prepared_batch};
+use crate::gemm::{secure_matmul_expanded, secure_matmul_prepared};
 use crate::{PartyContext, ProtocolError};
 use aq2pnn_nn::quant::Requant;
 use aq2pnn_ring::{Ring, RingTensor};
@@ -100,41 +100,21 @@ pub fn secure_conv2d(
 ) -> Result<AShare, ProtocolError> {
     let geom = *g;
     let out_mat = secure_matmul_expanded(ctx, x, w_mat, move |t| im2col_tensor(t, &geom))?; // [oh*ow, out_c]
-    conv_finish(g, &out_mat, bias)
+    conv_finish(g, 1, &out_mat, bias)
 }
 
 /// 2PC-Conv2D online pass for prepared models: like [`secure_conv2d`], but
-/// the weight mask is already opened and the triple comes from a resident
-/// lane, so only the per-inference `E` exchange touches the wire.
-///
-/// # Errors
-///
-/// Propagates GEMM/transport failures.
-pub fn secure_conv2d_prepared(
-    ctx: &mut PartyContext,
-    x: &AShare,
-    g: &ConvGeometry,
-    w_mat: &AShare,
-    bias: &AShare,
-    f_open: &RingTensor,
-    triple: &TripleShare,
-) -> Result<AShare, ProtocolError> {
-    let geom = *g;
-    let out_mat =
-        secure_matmul_prepared(ctx, x, w_mat, f_open, triple, move |t| im2col_tensor(t, &geom))?;
-    conv_finish(g, &out_mat, bias)
-}
-
-/// Batched 2PC-Conv2D online pass: `b` images' shares concatenated along
-/// the leading axis (`[b·in_c, ih, iw]` flat), one triple per image, one
-/// `E` round-trip for the whole batch. Output is `[b·out_c, oh, ow]` —
-/// at `b = 1` this is exactly [`secure_conv2d_prepared`].
+/// the weight mask is already opened and the triples come from a resident
+/// lane, so only the per-inference `E` exchange touches the wire. `b`
+/// images' shares are concatenated along the leading axis
+/// (`[b·in_c, ih, iw]` flat), one triple per image, one `E` round-trip for
+/// the whole batch. Output is `[b·out_c, oh, ow]`.
 ///
 /// # Errors
 ///
 /// Propagates GEMM/transport failures.
 #[allow(clippy::too_many_arguments)]
-pub fn secure_conv2d_prepared_batch(
+pub fn secure_conv2d_prepared(
     ctx: &mut PartyContext,
     x: &AShare,
     b: usize,
@@ -148,22 +128,16 @@ pub fn secure_conv2d_prepared_batch(
     let (ih, iw) = g.in_hw;
     let item_shape = [g.in_c, ih, iw];
     let out_mat =
-        secure_matmul_prepared_batch(ctx, x, b, &item_shape, w_mat, f_open, triples, move |t| {
+        secure_matmul_prepared(ctx, x, b, &item_shape, w_mat, f_open, triples, move |t| {
             im2col_tensor(t, &geom)
         })?;
-    conv_finish_batch(g, b, &out_mat, bias)
+    conv_finish(g, b, &out_mat, bias)
 }
 
-/// Transposes the `[oh·ow, out_c]` GEMM output to CHW and adds the
-/// per-channel bias share.
-fn conv_finish(g: &ConvGeometry, out_mat: &AShare, bias: &AShare) -> Result<AShare, ProtocolError> {
-    conv_finish_batch(g, 1, out_mat, bias)
-}
-
-/// Batched [`conv_finish`]: the GEMM output rows are the `b` images'
-/// `[oh·ow, out_c]` blocks stacked; each block is transposed to CHW
-/// independently, yielding `[b·out_c, oh, ow]`.
-fn conv_finish_batch(
+/// Transposes the GEMM output to CHW and adds the per-channel bias share:
+/// the output rows are the `b` images' `[oh·ow, out_c]` blocks stacked;
+/// each block is transposed independently, yielding `[b·out_c, oh, ow]`.
+fn conv_finish(
     g: &ConvGeometry,
     b: usize,
     out_mat: &AShare,
@@ -188,58 +162,15 @@ fn conv_finish_batch(
     Ok(AShare::from_tensor(RingTensor::from_raw(ring, vec![b * g.out_c, oh, ow], out)?))
 }
 
-/// 2PC-Linear: a 1×`in_f` AS-GEMM against `[in_f, out_f]` plus bias.
-///
-/// # Errors
-///
-/// Propagates GEMM/transport failures.
-pub fn secure_linear(
-    ctx: &mut PartyContext,
-    x: &AShare,
-    w_mat: &AShare,
-    bias: &AShare,
-) -> Result<AShare, ProtocolError> {
-    let in_f = x.len();
-    let out = secure_matmul_expanded(ctx, x, w_mat, move |t| {
-        let mut m = t.clone();
-        m.reshape(vec![1, in_f]).expect("row vector");
-        m
-    })?;
-    linear_finish(&out, bias)
-}
-
-/// 2PC-Linear online pass for prepared models (see
-/// [`secure_conv2d_prepared`]).
+/// 2PC-Linear online pass for prepared models: a 1×`in_f` AS-GEMM against
+/// `[in_f, out_f]` plus bias (see [`secure_conv2d_prepared`]). `b` input
+/// rows are concatenated flat (`b · in_f` elements), one triple per row,
+/// one `E` round-trip. Output is the flat `[b·out_f]` share.
 ///
 /// # Errors
 ///
 /// Propagates GEMM/transport failures.
 pub fn secure_linear_prepared(
-    ctx: &mut PartyContext,
-    x: &AShare,
-    w_mat: &AShare,
-    bias: &AShare,
-    f_open: &RingTensor,
-    triple: &TripleShare,
-) -> Result<AShare, ProtocolError> {
-    let in_f = x.len();
-    let out = secure_matmul_prepared(ctx, x, w_mat, f_open, triple, move |t| {
-        let mut m = t.clone();
-        m.reshape(vec![1, in_f]).expect("row vector");
-        m
-    })?;
-    linear_finish(&out, bias)
-}
-
-/// Batched 2PC-Linear online pass: `b` input rows concatenated flat
-/// (`b · in_f` elements), one triple per row, one `E` round-trip. Output
-/// is the flat `[b·out_f]` share — at `b = 1` this is exactly
-/// [`secure_linear_prepared`].
-///
-/// # Errors
-///
-/// Propagates GEMM/transport failures.
-pub fn secure_linear_prepared_batch(
     ctx: &mut PartyContext,
     x: &AShare,
     b: usize,
@@ -250,23 +181,17 @@ pub fn secure_linear_prepared_batch(
 ) -> Result<AShare, ProtocolError> {
     let in_f = x.len() / b;
     let item_shape = [in_f];
-    let out =
-        secure_matmul_prepared_batch(ctx, x, b, &item_shape, w_mat, f_open, triples, move |t| {
-            let mut m = t.clone();
-            m.reshape(vec![1, in_f]).expect("row vector");
-            m
-        })?;
-    linear_finish_batch(b, &out, bias)
+    let out = secure_matmul_prepared(ctx, x, b, &item_shape, w_mat, f_open, triples, move |t| {
+        let mut m = t.clone();
+        m.reshape(vec![1, in_f]).expect("row vector");
+        m
+    })?;
+    linear_finish(b, &out, bias)
 }
 
-/// Adds the bias share to the flat GEMM output row.
-fn linear_finish(out: &AShare, bias: &AShare) -> Result<AShare, ProtocolError> {
-    linear_finish_batch(1, out, bias)
-}
-
-/// Batched [`linear_finish`]: the bias share is added to each image's
-/// output row; the result stays flat (`[b·out_f]`).
-fn linear_finish_batch(b: usize, out: &AShare, bias: &AShare) -> Result<AShare, ProtocolError> {
+/// Adds the bias share to each image's flat GEMM output row; the result
+/// stays flat (`[b·out_f]`).
+fn linear_finish(b: usize, out: &AShare, bias: &AShare) -> Result<AShare, ProtocolError> {
     let ring = out.ring();
     let o = out.as_tensor().as_slice();
     let bv = bias.as_tensor().as_slice();
@@ -484,6 +409,7 @@ mod tests {
         use crate::sim::run_pair;
         use crate::ProtocolConfig;
         use aq2pnn_sharing::PartyId;
+        use aq2pnn_transport::duplex;
         let cfg = ProtocolConfig::exact(16);
         let q2 = cfg.q2();
         let rq = Requant { mult: 19661, shift: 18 }; // ≈ 0.075
@@ -492,7 +418,7 @@ mod tests {
         let t = RingTensor::from_signed(q2, vec![vals.len()], &vals).unwrap();
         let (s0, s1) = AShare::share(&t, &mut rng);
         let q1 = cfg.q1();
-        let (o0, o1) = run_pair(&cfg, move |ctx| {
+        let (o0, o1) = run_pair(duplex(), &cfg, move |ctx| {
             let mine = match ctx.id {
                 PartyId::User => s0.clone(),
                 PartyId::ModelProvider => s1.clone(),

@@ -1,13 +1,12 @@
 //! Prepared-model execution: the offline/online split for repeated
 //! inference.
 //!
-//! [`crate::engine::run_party`] rebuilds every piece of per-model state on
-//! each call: it re-derives both parties' weight shares from the setup PRG,
-//! re-transposes each weight matrix into GEMM layout, regenerates dealer
-//! triples, and re-opens the static weight masks `F = W − B` (the
-//! `offline-f` exchanges). All of that depends only on the model — not on
-//! the input — and in the paper's deployment model it corresponds to the
-//! **pre-deployed** AS-WGT / AS-WGT-MSK buffers that are shipped once.
+//! Every piece of per-model state — both parties' weight shares derived
+//! from the setup PRG, each weight matrix transposed into GEMM layout, the
+//! dealer triples, and the static weight masks `F = W − B` (the
+//! `offline-f` exchanges) — depends only on the model, not on the input.
+//! In the paper's deployment model it corresponds to the **pre-deployed**
+//! AS-WGT / AS-WGT-MSK buffers that are shipped once.
 //!
 //! [`PreparedModel`] hoists it out of the hot path:
 //!
@@ -16,14 +15,11 @@
 //!   `[in_c·k·k, out_c]` GEMM layout, creating a resident
 //!   [`TripleLane`] per linear layer, and opening each layer's weight mask
 //!   under the `offline-f` phase.
-//! * [`PreparedModel::run`] then executes one inference using only the
-//!   per-input work: input sharing, fresh `A`/`Z` triples from the lanes,
-//!   the online `E` exchanges, and the non-linear protocols. Repeated runs
-//!   perform **zero** weight-share PRG regeneration and **zero**
-//!   `offline-f` traffic.
-//!
-//! `run_party` is now a thin `prepare`-then-`run` wrapper, so single-shot
-//! callers see identical behavior (same phases, same byte counts).
+//! * [`PreparedModel::run_batch`] then executes `B ≥ 1` inferences using
+//!   only the per-input work: input sharing, fresh `A`/`Z` triples from
+//!   the lanes, the online `E` exchanges, and the non-linear protocols.
+//!   Repeated passes perform **zero** weight-share PRG regeneration and
+//!   **zero** `offline-f` traffic. A single image is a pass at `B = 1`.
 //!
 //! # Template/bind split
 //!
@@ -43,11 +39,11 @@
 
 use crate::abrelu::abrelu;
 use crate::dealer::{DealerConfig, DealerPool, ExpandFn, LaneSlot, TripleSource};
-use crate::engine::{secure_max_windows, BatchInput, BatchOutput, InferenceOutput, PartyInput};
+use crate::engine::{secure_max_windows, BatchInput, BatchOutput};
 use crate::gemm::open_weight_mask;
 use crate::ops::{
-    channel_sum, im2col_tensor, pool_sum, pool_windows, requant_share,
-    secure_conv2d_prepared_batch, secure_linear_prepared_batch, ConvGeometry,
+    channel_sum, im2col_tensor, pool_sum, pool_windows, requant_share, secure_conv2d_prepared,
+    secure_linear_prepared, ConvGeometry,
 };
 use crate::party::IoSpan;
 use crate::{PartyContext, PipelineMode, ProtocolConfig, ProtocolError};
@@ -64,7 +60,7 @@ use std::sync::Arc;
 /// bias shares, opened weight masks, triple lanes, and pooling geometry.
 ///
 /// Build one with [`PreparedModel::prepare`] (both parties in lockstep),
-/// then call [`PreparedModel::run`] once per inference. The struct is
+/// then call [`PreparedModel::run_batch`] once per batch of inputs. The struct is
 /// party-specific — it holds *this* party's shares — and channel-free, so
 /// it can outlive many runs over the same [`PartyContext`].
 pub struct PreparedModel {
@@ -155,39 +151,20 @@ impl PreparedModel {
         PreparedTemplate::build(ctx.id, &cfg, model)?.bind(ctx)
     }
 
-    /// Runs one secure inference over the prepared state. Must be called
-    /// concurrently by both parties, in the same run order.
-    ///
-    /// Channel statistics are *not* reset here (so preparation traffic and
-    /// multiple runs accumulate into one [`aq2pnn_transport::ChannelStats`]
-    /// unless the caller resets between runs); the returned
-    /// [`InferenceOutput::stats`] is the endpoint's running total.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`ProtocolError`] on channel failure, desync, or a
-    /// party/input mismatch.
-    pub fn run(
-        &mut self,
-        ctx: &mut PartyContext,
-        input: PartyInput<'_>,
-    ) -> Result<InferenceOutput, ProtocolError> {
-        let out = match input {
-            PartyInput::User(image) => self.run_batch(ctx, BatchInput::User(&[image])),
-            PartyInput::Provider => self.run_batch(ctx, BatchInput::Provider { batch: 1 }),
-        }?;
-        let mut logits = out.logits;
-        Ok(InferenceOutput { logits: logits.remove(0), stats: out.stats })
-    }
-
     /// Runs one **batched** online pass: `B` images walk the network
     /// together, so every layer's `E` opening, A2B conversion and OT flow
     /// is one `B×`-sized message instead of `B` round-trips — per-message
     /// latency and per-call setup amortize across the batch. Must be
     /// called concurrently by both parties with the same batch size.
     ///
-    /// Logits are bit-identical to `B` sequential [`PreparedModel::run`]
-    /// calls (the batched pass consumes each triple lane in the same
+    /// Channel statistics are *not* reset here (so preparation traffic and
+    /// multiple passes accumulate into one
+    /// [`aq2pnn_transport::ChannelStats`] unless the caller resets between
+    /// passes); the returned [`BatchOutput::stats`] is the endpoint's
+    /// running total.
+    ///
+    /// Logits are bit-identical to `B` sequential single-image passes
+    /// (the batched pass consumes each triple lane in the same
     /// stream order), except under the `MaskedMux` + local-truncation
     /// configuration, whose mux masks draw from the session RNG in
     /// call-count-dependent order (the ±1 local-truncation jitter can then
@@ -288,7 +265,7 @@ impl PreparedModel {
     /// Moves this model's resident triple lanes into a background
     /// [`DealerPool`]: a dedicated worker thread keeps a bounded queue of
     /// pre-generated triples per linear layer, so subsequent
-    /// [`PreparedModel::run`] / [`PreparedModel::run_batch`] calls *pop*
+    /// [`PreparedModel::run_batch`] calls *pop*
     /// offline material instead of generating it on the online critical
     /// path.
     ///
@@ -803,8 +780,7 @@ fn run_ops(
                 let x2 = if x.ring() == q2 { x } else { ctx.extend_share(&x, q2)? };
                 let g = *geom;
                 let triples = source.take_n(b, move |t| im2col_tensor(t, &g))?;
-                let acc =
-                    secure_conv2d_prepared_batch(ctx, &x2, b, geom, w_mat, bias, f_open, &triples)?;
+                let acc = secure_conv2d_prepared(ctx, &x2, b, geom, w_mat, bias, f_open, &triples)?;
                 ctx.span_end(gemm);
                 ctx.ep.set_phase(format!("bnreq{idx}"));
                 let bnreq = ctx.span_begin("bnreq", CAT_STAGE, &[]);
@@ -822,7 +798,7 @@ fn run_ops(
                     m.reshape(vec![1, in_f]).expect("row vector");
                     m
                 })?;
-                let acc = secure_linear_prepared_batch(ctx, &x2, b, w_mat, bias, f_open, &triples)?;
+                let acc = secure_linear_prepared(ctx, &x2, b, w_mat, bias, f_open, &triples)?;
                 ctx.span_end(gemm);
                 ctx.ep.set_phase(format!("bnreq{idx}"));
                 let bnreq = ctx.span_begin("bnreq", CAT_STAGE, &[]);

@@ -19,6 +19,7 @@ use aq2pnn::ProtocolConfig;
 use aq2pnn_nn::quant::Requant;
 use aq2pnn_ring::RingTensor;
 use aq2pnn_sharing::{AShare, PartyId};
+use aq2pnn_transport::duplex;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -56,7 +57,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("   party 0 input share[0..4]: {:?}", &x0.as_tensor().as_slice()[..4]);
     println!("   party 1 input share[0..4]: {:?}", &x1.as_tensor().as_slice()[..4]);
 
-    let (r0, r1) = run_pair(&cfg, move |ctx| {
+    let (r0, r1) = run_pair(duplex(), &cfg, move |ctx| {
         let (xs, ws, bs) = match ctx.id {
             PartyId::User => (x0.clone(), w0.clone(), b0.clone()),
             PartyId::ModelProvider => (x1.clone(), w1.clone(), b1.clone()),

@@ -16,6 +16,7 @@ use aq2pnn::ProtocolConfig;
 use aq2pnn_ring::RingTensor;
 use aq2pnn_sharing::beaver::ring_matmul;
 use aq2pnn_sharing::{AShare, PartyId};
+use aq2pnn_transport::duplex;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -46,7 +47,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("party 0 IN share  = {:?}", in0.as_tensor().as_slice());
     println!("party 1 IN share  = {:?}", in1.as_tensor().as_slice());
 
-    let (o0, o1) = run_pair(&cfg, move |ctx| {
+    let (o0, o1) = run_pair(duplex(), &cfg, move |ctx| {
         let (x, w) = match ctx.id {
             PartyId::User => (in0.clone(), w0.clone()),
             PartyId::ModelProvider => (in1.clone(), w1.clone()),

@@ -5,13 +5,14 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use aq2pnn::sim::run_two_party;
+use aq2pnn::sim::{run_two_party, RunPlan};
 use aq2pnn::ProtocolConfig;
 use aq2pnn_nn::data::SyntheticVision;
 use aq2pnn_nn::float::FloatNet;
 use aq2pnn_nn::quant::{QuantConfig, QuantModel};
 use aq2pnn_nn::tensor::argmax_i64;
 use aq2pnn_nn::zoo;
+use aq2pnn_transport::duplex;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // ---- Model provider side (plaintext domain): train and quantize. ----
@@ -30,10 +31,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // ---- Joint: one private inference at the paper's 16-bit setting. ----
     let cfg = ProtocolConfig::paper(16);
     let sample = &data.test()[0];
-    let run = run_two_party(&model, &cfg, &sample.image, 0)?;
+    let run = run_two_party(duplex(), &model, &cfg, &[&sample.image], &RunPlan::default())?;
     println!("\nsecure inference (Q1 = 2^{}, Q2 = 2^{}):", cfg.q1_bits, cfg.q2_bits);
-    println!("  logits     : {:?}", run.logits);
-    println!("  prediction : class {}  (true label {})", argmax_i64(&run.logits), sample.label);
+    println!("  logits     : {:?}", run.logits[0]);
+    println!("  prediction : class {}  (true label {})", argmax_i64(&run.logits[0]), sample.label);
     println!(
         "  traffic    : user sent {} B, provider sent {} B ({:.3} MiB total)",
         run.user_stats.bytes_sent,

@@ -1,10 +1,11 @@
 //! Batched online pass: `PreparedModel::run_batch` over `B` images must
-//! recover logits **bit-identical** to `B` sequential `run` calls on the
-//! same prepared session — at every batch size, in both share-conversion
-//! configs, and at every thread count — and the background dealer must be
-//! a pure latency optimization: pooled triples produce the same logits as
-//! inline generation, and a strict pool that runs dry surfaces the typed
-//! [`ProtocolError::DealerExhausted`], never a panic or a desync.
+//! recover logits **bit-identical** to `B` sequential single-image passes
+//! on the same prepared session — at every batch size, in both
+//! share-conversion configs, and at every thread count — and the
+//! background dealer must be a pure latency optimization: pooled triples
+//! produce the same logits as inline generation, and a strict pool that
+//! runs dry surfaces the typed [`ProtocolError::DealerExhausted`], never a
+//! panic or a desync.
 //!
 //! The bit-identity baseline is the *stream position* argument: a lane's
 //! offline material is defined by its RNG stream, so triple `#k` serves
@@ -14,9 +15,9 @@
 //! logits must agree to the last bit.
 
 use aq2pnn::dealer::{DealerConfig, DealerPool, ExhaustionPolicy, ExpandFn};
-use aq2pnn::engine::{BatchInput, PartyInput};
+use aq2pnn::engine::BatchInput;
 use aq2pnn::prepared::PreparedModel;
-use aq2pnn::sim::{run_pair, run_two_party_service, PartyObs};
+use aq2pnn::sim::{run_pair, run_two_party, RunPlan};
 use aq2pnn::{PartyContext, ProtocolConfig, ProtocolError};
 use aq2pnn_nn::data::SyntheticVision;
 use aq2pnn_nn::float::FloatNet;
@@ -45,22 +46,22 @@ fn model_and_images() -> &'static (QuantModel, Vec<Vec<f32>>) {
     })
 }
 
-/// `B` sequential `run` calls on one freshly prepared session: consumes
-/// triples `0..B` of every lane, the same stream positions one batched
-/// call uses.
+/// `B` sequential single-image passes on one freshly prepared session:
+/// consumes triples `0..B` of every lane, the same stream positions one
+/// batched call uses.
 fn sequential_logits(cfg: &ProtocolConfig, images: &[Vec<f32>]) -> Vec<Vec<i64>> {
     let model = model_and_images().0.clone();
     let images: Arc<Vec<Vec<f32>>> = Arc::new(images.to_vec());
-    let (l0, l1) = run_pair(cfg, move |ctx| {
+    let (l0, l1) = run_pair(duplex(), cfg, move |ctx| {
         let mut prepared = PreparedModel::prepare(ctx, &model).expect("prepare");
         images
             .iter()
             .map(|img| {
                 let input = match ctx.id {
-                    PartyId::User => PartyInput::User(img),
-                    PartyId::ModelProvider => PartyInput::Provider,
+                    PartyId::User => BatchInput::User(&[img.as_slice()]),
+                    PartyId::ModelProvider => BatchInput::Provider { batch: 1 },
                 };
-                prepared.run(ctx, input).expect("sequential run").logits
+                prepared.run_batch(ctx, input).expect("sequential run").logits.remove(0)
             })
             .collect::<Vec<_>>()
     });
@@ -73,7 +74,7 @@ fn batched_logits(cfg: &ProtocolConfig, images: &[Vec<f32>]) -> Vec<Vec<i64>> {
     let model = model_and_images().0.clone();
     let images: Arc<Vec<Vec<f32>>> = Arc::new(images.to_vec());
     let b = images.len();
-    let (l0, l1) = run_pair(cfg, move |ctx| {
+    let (l0, l1) = run_pair(duplex(), cfg, move |ctx| {
         let mut prepared = PreparedModel::prepare(ctx, &model).expect("prepare");
         let refs: Vec<&[f32]> = images.iter().map(Vec::as_slice).collect();
         let input = match ctx.id {
@@ -133,11 +134,8 @@ proptest! {
         let seq = sequential_logits(&cfg, &images[..5]);
         let model = model_and_images().0.clone();
         let refs: Vec<&[f32]> = images[..5].iter().map(Vec::as_slice).collect();
-        let (e0, e1) = duplex();
-        let run = run_two_party_service(
-            e0, e1, &model, &cfg, &refs, b, None,
-            PartyObs::default(), PartyObs::default(),
-        ).expect("service run");
+        let plan = RunPlan { batch: b, ..RunPlan::default() };
+        let run = run_two_party(duplex(), &model, &cfg, &refs, &plan).expect("service run");
         prop_assert_eq!(&run.logits, &seq, "chunk size {} diverged", b);
     }
 }
@@ -151,33 +149,12 @@ fn background_dealer_matches_inline_generation() {
     let cfg = ProtocolConfig::paper(16);
     let refs: Vec<&[f32]> = images[..4].iter().map(Vec::as_slice).collect();
 
-    let (e0, e1) = duplex();
-    let inline = run_two_party_service(
-        e0,
-        e1,
-        model,
-        &cfg,
-        &refs,
-        2,
-        None,
-        PartyObs::default(),
-        PartyObs::default(),
-    )
-    .expect("inline run");
+    let plan = RunPlan { batch: 2, ..RunPlan::default() };
+    let inline = run_two_party(duplex(), model, &cfg, &refs, &plan).expect("inline run");
 
-    let (e0, e1) = duplex();
-    let dealt = run_two_party_service(
-        e0,
-        e1,
-        model,
-        &cfg,
-        &refs,
-        2,
-        Some(DealerConfig { depth: 8, policy: ExhaustionPolicy::GenerateInline }),
-        PartyObs::default(),
-        PartyObs::default(),
-    )
-    .expect("dealer-backed run");
+    let dealer = DealerConfig { depth: 8, policy: ExhaustionPolicy::GenerateInline };
+    let plan = RunPlan { dealer: Some(dealer), ..plan };
+    let dealt = run_two_party(duplex(), model, &cfg, &refs, &plan).expect("dealer-backed run");
 
     assert_eq!(inline.logits, dealt.logits, "background dealer changed the recovered logits");
 }

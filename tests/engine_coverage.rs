@@ -1,13 +1,14 @@
 //! Additional end-to-end engine coverage: larger architectures, combined
 //! protocol-mode matrices, pipeline ablation, and failure handling.
 
-use aq2pnn::sim::run_two_party;
+use aq2pnn::sim::{run_two_party, RunPlan};
 use aq2pnn::{PipelineMode, ProtocolConfig, ReluMode, ReluRounds};
 use aq2pnn_nn::data::SyntheticVision;
 use aq2pnn_nn::float::FloatNet;
 use aq2pnn_nn::quant::{QuantConfig, QuantModel};
 use aq2pnn_nn::tensor::argmax_i64;
 use aq2pnn_nn::zoo;
+use aq2pnn_transport::duplex;
 
 /// Full LeNet5 (28×28 input, two conv stages, three FC layers) runs
 /// privately end to end and matches the plaintext decision.
@@ -20,10 +21,11 @@ fn lenet5_secure_inference_end_to_end() {
         QuantModel::quantize(&net, &data.calibration(16), &QuantConfig::int8()).expect("quantizes");
     let cfg = ProtocolConfig::exact(16);
     for s in data.test().iter().take(2) {
-        let run = run_two_party(&model, &cfg, &s.image, 0).expect("2pc runs");
+        let run = run_two_party(duplex(), &model, &cfg, &[&s.image], &RunPlan::default())
+            .expect("2pc runs");
         let reference =
             model.forward_ring_exact(&s.image, cfg.q1_bits, cfg.q2_bits).expect("reference");
-        assert_eq!(run.logits, reference);
+        assert_eq!(run.logits[0], reference);
     }
 }
 
@@ -43,8 +45,9 @@ fn protocol_mode_matrix_is_function_preserving() {
             let mut cfg = ProtocolConfig::exact(16);
             cfg.relu_mode = mode;
             cfg.relu_rounds = rounds;
-            let run = run_two_party(&model, &cfg, image, 0).expect("2pc runs");
-            assert_eq!(run.logits, reference, "mode {mode:?} rounds {rounds:?}");
+            let run = run_two_party(duplex(), &model, &cfg, &[image], &RunPlan::default())
+                .expect("2pc runs");
+            assert_eq!(run.logits[0], reference, "mode {mode:?} rounds {rounds:?}");
         }
     }
 }
@@ -65,9 +68,10 @@ fn narrow_pipeline_degrades_vs_stay_wide() {
             .iter()
             .take(n)
             .filter(|s| {
-                let run = run_two_party(&model, cfg, &s.image, 0).expect("runs");
+                let run = run_two_party(duplex(), &model, cfg, &[&s.image], &RunPlan::default())
+                    .expect("runs");
                 let plain = model.forward(&s.image).expect("plaintext");
-                argmax_i64(&run.logits) == argmax_i64(&plain)
+                argmax_i64(&run.logits[0]) == argmax_i64(&plain)
             })
             .count()
     };
@@ -96,8 +100,9 @@ fn real_engine_exhibits_the_carrier_cliff() {
             .iter()
             .take(n)
             .filter(|s| {
-                let run = run_two_party(&model, &cfg, &s.image, 0).expect("runs");
-                argmax_i64(&run.logits) == s.label
+                let run = run_two_party(duplex(), &model, &cfg, &[&s.image], &RunPlan::default())
+                    .expect("runs");
+                argmax_i64(&run.logits[0]) == s.label
             })
             .count()
     };
@@ -111,19 +116,19 @@ fn real_engine_exhibits_the_carrier_cliff() {
 /// hanging or corrupting.
 #[test]
 fn mismatched_party_input_is_rejected() {
-    use aq2pnn::engine::{run_party, PartyInput};
-    use aq2pnn::PartyContext;
-    use aq2pnn_sharing::PartyId;
-    use aq2pnn_transport::duplex;
+    use aq2pnn::engine::BatchInput;
+    use aq2pnn::prepared::PreparedModel;
+    use aq2pnn::sim::run_pair;
 
     let data = SyntheticVision::tiny(4, 5);
     let net = FloatNet::init(&zoo::tiny_cnn(4), 6).expect("valid spec");
     let model =
         QuantModel::quantize(&net, &data.calibration(4), &QuantConfig::int8()).expect("quantizes");
-    let (e0, _e1) = duplex();
-    let mut ctx = PartyContext::new(PartyId::User, e0, ProtocolConfig::paper(16), None);
     // User claiming to be the provider.
-    let err = run_party(&mut ctx, &model, PartyInput::Provider).unwrap_err();
+    let (user, _) = run_pair(duplex(), &ProtocolConfig::paper(16), |ctx| {
+        PreparedModel::prepare(ctx, &model)?.run_batch(ctx, BatchInput::Provider { batch: 1 })
+    });
+    let err = user.unwrap_err();
     assert!(matches!(err, aq2pnn::ProtocolError::Model(_)));
 }
 
@@ -137,8 +142,10 @@ fn runs_are_deterministic() {
     let model =
         QuantModel::quantize(&net, &data.calibration(8), &QuantConfig::int8()).expect("quantizes");
     let cfg = ProtocolConfig::paper(16);
-    let a = run_two_party(&model, &cfg, &data.test()[0].image, 0).expect("runs");
-    let b = run_two_party(&model, &cfg, &data.test()[0].image, 0).expect("runs");
+    let a = run_two_party(duplex(), &model, &cfg, &[&data.test()[0].image], &RunPlan::default())
+        .expect("runs");
+    let b = run_two_party(duplex(), &model, &cfg, &[&data.test()[0].image], &RunPlan::default())
+        .expect("runs");
     assert_eq!(a.logits, b.logits);
     assert_eq!(a.user_stats.bytes_sent, b.user_stats.bytes_sent);
     assert_eq!(a.provider_stats.bytes_sent, b.provider_stats.bytes_sent);
@@ -155,7 +162,8 @@ fn alexnet_geometry_runs_exactly() {
         QuantModel::quantize(&net, &data.calibration(8), &QuantConfig::int8()).expect("quantizes");
     let cfg = ProtocolConfig::exact(16);
     let image = &data.test()[0].image;
-    let run = run_two_party(&model, &cfg, image, 0).expect("2pc runs");
+    let run =
+        run_two_party(duplex(), &model, &cfg, &[image], &RunPlan::default()).expect("2pc runs");
     let reference = model.forward_ring_exact(image, cfg.q1_bits, cfg.q2_bits).expect("ref");
-    assert_eq!(run.logits, reference);
+    assert_eq!(run.logits[0], reference);
 }

@@ -24,7 +24,7 @@
 use aq2pnn::abrelu::{secure_sign, sign_from_codes};
 use aq2pnn::engine::BatchInput;
 use aq2pnn::prepared::PreparedModel;
-use aq2pnn::sim::{run_pair, run_pair_over};
+use aq2pnn::sim::run_pair;
 use aq2pnn::substrate::obs::{MetricsRegistry, Tracer};
 use aq2pnn::{ProtocolConfig, ReluMode};
 use aq2pnn_nn::data::SyntheticVision;
@@ -34,7 +34,7 @@ use aq2pnn_nn::zoo;
 use aq2pnn_ring::{ct, Ring, RingTensor};
 use aq2pnn_sharing::{AShare, PartyId};
 use aq2pnn_transport::{
-    mem_pair, Endpoint, FaultPlan, FaultyTransport, Session, SessionConfig, Transport,
+    duplex, mem_pair, Endpoint, FaultPlan, FaultyTransport, Session, SessionConfig, Transport,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -77,7 +77,7 @@ fn captured_sign_run_obs(vals: &[i64], trial: u64, traced: bool) -> (Transcript,
     let t = RingTensor::from_signed(ring, vec![vals.len()], vals).expect("valid tensor");
     let mut share_rng = StdRng::seed_from_u64(0x5eed_0000 + trial);
     let (s0, s1) = AShare::share(&t, &mut share_rng);
-    run_pair(&cfg, move |ctx| {
+    run_pair(duplex(), &cfg, move |ctx| {
         if traced {
             ctx.set_obs(Tracer::new(), MetricsRegistry::new());
         }
@@ -256,7 +256,7 @@ fn captured_faulty_sign_run(vals: &[i64], trial: u64) -> (Transcript, Transcript
     sess1.start_wire_capture();
     let e0 = Endpoint::over_transport(Arc::clone(&sess0) as Arc<dyn Transport>, None);
     let e1 = Endpoint::over_transport(Arc::clone(&sess1) as Arc<dyn Transport>, None);
-    run_pair_over(e0, e1, &cfg, move |ctx| {
+    run_pair((e0, e1), &cfg, move |ctx| {
         let mine = match ctx.id {
             PartyId::User => s0.clone(),
             PartyId::ModelProvider => s1.clone(),
@@ -341,7 +341,7 @@ fn captured_batched_run(images: &[Vec<f32>], trial: u64) -> (Transcript, Transcr
     let model = batched_leakage_model().clone();
     let images: Arc<Vec<Vec<f32>>> = Arc::new(images.to_vec());
     let b = images.len();
-    run_pair(&cfg, move |ctx| {
+    run_pair(duplex(), &cfg, move |ctx| {
         let mut prepared = PreparedModel::prepare(ctx, &model).expect("prepare");
         let refs: Vec<&[f32]> = images.iter().map(Vec::as_slice).collect();
         let input = match ctx.id {

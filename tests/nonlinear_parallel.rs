@@ -13,7 +13,7 @@ use aq2pnn::sim::run_pair;
 use aq2pnn::{ProtocolConfig, ReluMode, ReluRounds};
 use aq2pnn_ring::{Ring, RingTensor};
 use aq2pnn_sharing::{AShare, PartyId};
-use aq2pnn_transport::ChannelStats;
+use aq2pnn_transport::{duplex, ChannelStats};
 use std::sync::Mutex;
 
 /// Serializes tests that mutate the process-wide `AQ2PNN_THREADS` knob.
@@ -35,7 +35,7 @@ type SignRun = ((Option<Vec<u8>>, ChannelStats), (Option<Vec<u8>>, ChannelStats)
 /// Runs `secure_sign` over the given per-party share vectors.
 fn run_sign(cfg: &ProtocolConfig, s0: Vec<u64>, s1: Vec<u64>, mode: ReluMode) -> SignRun {
     let ring = cfg.q1();
-    run_pair(cfg, move |ctx| {
+    run_pair(duplex(), cfg, move |ctx| {
         let raw = match ctx.id {
             PartyId::User => s0.clone(),
             PartyId::ModelProvider => s1.clone(),

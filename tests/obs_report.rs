@@ -4,7 +4,7 @@
 //! statistics, and the Chrome `trace_event` export must round-trip back
 //! into the identical report.
 
-use aq2pnn::sim::{run_two_party_traced, PartyObs};
+use aq2pnn::sim::{run_two_party, PartyObs, RunPlan};
 use aq2pnn::substrate::obs::chrome::{chrome_trace, parse_chrome_trace};
 use aq2pnn::substrate::obs::json::Json;
 use aq2pnn::substrate::obs::report::{CostReport, CAT_LAYER, CAT_OFFLINE, CAT_STAGE};
@@ -31,11 +31,12 @@ fn trained_model(seed: u64) -> (QuantModel, Vec<f32>) {
 fn traced_run() -> ([Vec<SpanRecord>; 2], [u64; 2]) {
     let (model, image) = trained_model(4242);
     let cfg = ProtocolConfig::paper(16);
-    let (e0, e1) = duplex();
     let user = PartyObs::enabled();
     let provider = PartyObs::enabled();
-    let out = run_two_party_traced(e0, e1, &model, &cfg, &image, user.clone(), provider.clone())
-        .expect("traced 2pc inference runs");
+    let plan =
+        RunPlan { user_obs: user.clone(), provider_obs: provider.clone(), ..RunPlan::default() };
+    let out =
+        run_two_party(duplex(), &model, &cfg, &[&image], &plan).expect("traced 2pc inference runs");
     (
         [user.tracer.snapshot(), provider.tracer.snapshot()],
         [out.user_stats.total_bytes(), out.provider_stats.total_bytes()],

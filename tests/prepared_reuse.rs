@@ -2,16 +2,16 @@
 //! pays the offline cost (weight-share PRG derivation + `offline-f` mask
 //! openings) exactly once, and every subsequent run is online-only.
 
-use aq2pnn::engine::PartyInput;
+use aq2pnn::engine::BatchInput;
 use aq2pnn::prepared::PreparedModel;
-use aq2pnn::sim::{run_pair, run_two_party};
+use aq2pnn::sim::{run_pair, run_two_party, RunPlan};
 use aq2pnn::ProtocolConfig;
 use aq2pnn_nn::data::SyntheticVision;
 use aq2pnn_nn::float::FloatNet;
 use aq2pnn_nn::quant::{QuantConfig, QuantModel};
 use aq2pnn_nn::zoo;
 use aq2pnn_sharing::PartyId;
-use aq2pnn_transport::ChannelStats;
+use aq2pnn_transport::{duplex, ChannelStats};
 
 fn trained_model(seed: u64) -> (QuantModel, SyntheticVision) {
     let data = SyntheticVision::tiny(4, seed);
@@ -23,7 +23,7 @@ fn trained_model(seed: u64) -> (QuantModel, SyntheticVision) {
 }
 
 /// One party's transcript of prepare + three runs.
-type Transcript = (ChannelStats, Vec<(Vec<i64>, ChannelStats)>);
+type Transcript = (ChannelStats, Vec<(Vec<Vec<i64>>, ChannelStats)>);
 
 /// Prepares once, runs three inferences (same image twice, then a second
 /// image), resetting the channel counters around each stage so every
@@ -34,7 +34,7 @@ fn prepare_and_run_thrice(
     images: [Vec<f32>; 3],
 ) -> (Transcript, Transcript) {
     let model = model.clone();
-    run_pair(cfg, move |ctx| {
+    run_pair(duplex(), cfg, move |ctx| {
         ctx.ep.reset_stats();
         let mut prepared = PreparedModel::prepare(ctx, &model).expect("prepare succeeds");
         let prep_stats = ctx.ep.stats();
@@ -42,8 +42,10 @@ fn prepare_and_run_thrice(
         for image in &images {
             ctx.ep.reset_stats();
             let out = match ctx.id {
-                PartyId::User => prepared.run(ctx, PartyInput::User(image)),
-                PartyId::ModelProvider => prepared.run(ctx, PartyInput::Provider),
+                PartyId::User => prepared.run_batch(ctx, BatchInput::User(&[image.as_slice()])),
+                PartyId::ModelProvider => {
+                    prepared.run_batch(ctx, BatchInput::Provider { batch: 1 })
+                }
             }
             .expect("run succeeds");
             runs.push((out.logits, ctx.ep.stats()));
@@ -52,7 +54,7 @@ fn prepare_and_run_thrice(
     })
 }
 
-/// Repeated `PreparedModel::run` calls perform zero weight-share PRG
+/// Repeated single-image `PreparedModel::run_batch` passes perform zero weight-share PRG
 /// regeneration and zero `offline-f` traffic after preparation: all
 /// `offline-f` bytes land in the preparation stage, every run carries
 /// none, and the per-run online traffic is byte-identical across runs.
@@ -103,16 +105,17 @@ fn repeated_runs_carry_no_offline_traffic() {
     assert!(prep_p.total_bytes() == prep.total_bytes());
 }
 
-/// The single-shot `run_party` wrapper is exactly prepare + one run: same
+/// A one-image `run_two_party` session is exactly prepare + one run: same
 /// logits, and its traffic equals the sum of the two stages.
 #[test]
-fn run_party_equals_prepare_plus_one_run() {
+fn one_image_session_equals_prepare_plus_one_run() {
     let (model, data) = trained_model(910);
     let cfg = ProtocolConfig::paper(16);
     let image = data.test()[0].image.clone();
     let ((prep, runs), _) =
         prepare_and_run_thrice(&cfg, &model, [image.clone(), image.clone(), image.clone()]);
-    let single = run_two_party(&model, &cfg, &image, 0).expect("2pc runs");
+    let single =
+        run_two_party(duplex(), &model, &cfg, &[&image], &RunPlan::default()).expect("2pc runs");
     assert_eq!(single.logits, runs[0].0);
     assert_eq!(single.user_stats.total_bytes(), prep.total_bytes() + runs[0].1.total_bytes());
 }

@@ -8,6 +8,7 @@ use aq2pnn::ProtocolConfig;
 use aq2pnn_ring::{Ring, RingTensor};
 use aq2pnn_sharing::beaver::ring_matmul;
 use aq2pnn_sharing::{AShare, PartyId};
+use aq2pnn_transport::duplex;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -39,7 +40,7 @@ proptest! {
             (0..k * n).map(|_| rng.gen_range(ring.min_signed()..=ring.max_signed())).collect();
         let (a0, a1) = share(ring, vec![m, k], &a_vals, seed + 1);
         let (b0, b1) = share(ring, vec![k, n], &b_vals, seed + 2);
-        let (o0, o1) = run_pair(&cfg, move |ctx| {
+        let (o0, o1) = run_pair(duplex(), &cfg, move |ctx| {
             let (x, w) = match ctx.id {
                 PartyId::User => (a0.clone(), b0.clone()),
                 PartyId::ModelProvider => (a1.clone(), b1.clone()),
@@ -66,7 +67,7 @@ proptest! {
         let vals: Vec<i64> =
             (0..len).map(|_| rng.gen_range(ring.min_signed()..=ring.max_signed())).collect();
         let (s0, s1) = share(ring, vec![len], &vals, seed + 7);
-        let (o0, o1) = run_pair(&cfg, move |ctx| {
+        let (o0, o1) = run_pair(duplex(), &cfg, move |ctx| {
             let mine = match ctx.id {
                 PartyId::User => s0.clone(),
                 PartyId::ModelProvider => s1.clone(),
@@ -95,7 +96,7 @@ proptest! {
         ];
         let (s0, s1) = share(ring, vec![vals.len()], &vals, u64::from(bits));
         let expect: Vec<i64> = vals.iter().map(|&v| v.max(0)).collect();
-        let (o0, o1) = run_pair(&cfg, move |ctx| {
+        let (o0, o1) = run_pair(duplex(), &cfg, move |ctx| {
             let mine = match ctx.id {
                 PartyId::User => s0.clone(),
                 PartyId::ModelProvider => s1.clone(),

@@ -9,19 +9,20 @@
 //! `#[ignore]`d and executed by the release-mode CI fault-matrix job.
 
 use aq2pnn::dealer::{DealerConfig, ExhaustionPolicy};
-use aq2pnn::sim::{run_two_party, run_two_party_over, run_two_party_service, PartyObs};
+use aq2pnn::sim::{run_pair, run_two_party, RunPlan};
 use aq2pnn::substrate::obs::MetricsRegistry;
 use aq2pnn::{ProtocolConfig, ProtocolError};
 use aq2pnn_nn::data::SyntheticVision;
 use aq2pnn_nn::float::FloatNet;
 use aq2pnn_nn::quant::{QuantConfig, QuantModel};
 use aq2pnn_nn::zoo;
+use aq2pnn_sharing::PartyId;
 use aq2pnn_transport::{
-    duplex, mem_pair, Endpoint, FaultPlan, FaultyTransport, Session, SessionConfig, TcpConfig,
-    TcpTransport, Transport, TransportError,
+    duplex, duplex_with_timeout, mem_pair, Endpoint, FaultPlan, FaultyTransport, Session,
+    SessionConfig, TcpConfig, TcpTransport, Transport, TransportError,
 };
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn trained_model(spec: &aq2pnn_nn::spec::ModelSpec, seed: u64) -> (QuantModel, SyntheticVision) {
     let data = SyntheticVision::tiny(4, seed);
@@ -83,6 +84,19 @@ fn faulty_tcp_endpoints(
     (e0, e1, [f0, f1], [s0, s1])
 }
 
+/// Both sessions' repair telemetry (retransmits, Nak probes, reconnects)
+/// and both fault proxies' injection counts, one line per party — printed
+/// when a soak fails, so a failure on a loaded machine shows whether the
+/// probe budget ran out.
+fn link_report(faults: &[Arc<FaultyTransport>; 2], sessions: &[Arc<Session>; 2]) -> String {
+    (0..2)
+        .map(|i| {
+            format!("party {i}: {:?}; injected {:?}", sessions[i].telemetry(), faults[i].stats())
+        })
+        .collect::<Vec<_>>()
+        .join("\n")
+}
+
 /// Lossy in-memory schedules: five seeds of mixed drop/duplicate/corrupt/
 /// delay faults. Logits must match the clean run bit for bit and the
 /// repair work must stay bounded.
@@ -90,8 +104,10 @@ fn faulty_tcp_endpoints(
 fn tiny_cnn_bit_identical_under_lossy_schedules() {
     let (model, data) = trained_model(&zoo::tiny_cnn(4), 77);
     let cfg = ProtocolConfig::paper(16);
-    let image = &data.test()[0].image;
-    let baseline = run_two_party(&model, &cfg, image, 0).expect("clean run").logits;
+    let image = data.test()[0].image.as_slice();
+    let baseline = run_two_party(duplex(), &model, &cfg, &[image], &RunPlan::default())
+        .expect("clean run")
+        .logits;
 
     let mut total_injected = 0u64;
     for seed in [1u64, 2, 3, 4, 5] {
@@ -100,8 +116,13 @@ fn tiny_cnn_bit_identical_under_lossy_schedules() {
             FaultPlan::lossy(seed ^ 0xFFFF),
             soak_session_cfg(seed),
         );
-        let run = run_two_party_over(e0, e1, &model, &cfg, image)
-            .unwrap_or_else(|e| panic!("seed {seed}: inference failed under faults: {e}"));
+        let run = run_two_party((e0, e1), &model, &cfg, &[image], &RunPlan::default())
+            .unwrap_or_else(|e| {
+                panic!(
+                    "seed {seed}: inference failed under faults: {e}\n{}",
+                    link_report(&faults, &sessions)
+                )
+            });
         assert_eq!(run.logits, baseline, "seed {seed}: logits diverged under faults");
         for f in &faults {
             let s = f.stats();
@@ -125,8 +146,10 @@ fn tiny_cnn_bit_identical_under_lossy_schedules() {
 fn tiny_cnn_tcp_survives_disconnect_and_reconnect() {
     let (model, data) = trained_model(&zoo::tiny_cnn(4), 78);
     let cfg = ProtocolConfig::paper(16);
-    let image = &data.test()[0].image;
-    let baseline = run_two_party(&model, &cfg, image, 0).expect("clean run").logits;
+    let image = data.test()[0].image.as_slice();
+    let baseline = run_two_party(duplex(), &model, &cfg, &[image], &RunPlan::default())
+        .expect("clean run")
+        .logits;
 
     // A tiny_cnn inference sends ~23 session frames per party; disconnect
     // early on one side and mid-run on the other so both reconnect paths
@@ -134,7 +157,7 @@ fn tiny_cnn_tcp_survives_disconnect_and_reconnect() {
     let plan0 = FaultPlan { disconnect_at: vec![8], ..FaultPlan::clean() };
     let plan1 = FaultPlan { disconnect_at: vec![15], ..FaultPlan::clean() };
     let (e0, e1, faults, sessions) = faulty_tcp_endpoints(plan0, plan1, soak_session_cfg(0xDEAD));
-    let run = run_two_party_over(e0, e1, &model, &cfg, image)
+    let run = run_two_party((e0, e1), &model, &cfg, &[image], &RunPlan::default())
         .expect("inference must survive disconnects");
     assert_eq!(run.logits, baseline, "logits diverged across reconnects");
 
@@ -150,12 +173,15 @@ fn tiny_cnn_tcp_survives_disconnect_and_reconnect() {
 fn tiny_cnn_tcp_loopback_clean_run_matches() {
     let (model, data) = trained_model(&zoo::tiny_cnn(4), 79);
     let cfg = ProtocolConfig::paper(16);
-    let image = &data.test()[0].image;
-    let baseline = run_two_party(&model, &cfg, image, 0).expect("clean run").logits;
+    let image = data.test()[0].image.as_slice();
+    let baseline = run_two_party(duplex(), &model, &cfg, &[image], &RunPlan::default())
+        .expect("clean run")
+        .logits;
 
     let (e0, e1, _faults, _sessions) =
         faulty_tcp_endpoints(FaultPlan::clean(), FaultPlan::clean(), soak_session_cfg(1));
-    let run = run_two_party_over(e0, e1, &model, &cfg, image).expect("tcp run");
+    let run =
+        run_two_party((e0, e1), &model, &cfg, &[image], &RunPlan::default()).expect("tcp run");
     assert_eq!(run.logits, baseline);
 }
 
@@ -166,7 +192,7 @@ fn tiny_cnn_tcp_loopback_clean_run_matches() {
 fn dead_link_degrades_to_typed_error() {
     let (model, data) = trained_model(&zoo::tiny_cnn(4), 80);
     let cfg = ProtocolConfig::paper(16);
-    let image = &data.test()[0].image;
+    let image = data.test()[0].image.as_slice();
 
     let black_hole = FaultPlan { drop_per_mille: 1000, ..FaultPlan::clean() };
     let scfg = SessionConfig {
@@ -175,7 +201,7 @@ fn dead_link_degrades_to_typed_error() {
         ..SessionConfig::default()
     };
     let (e0, e1, _faults, _sessions) = faulty_mem_endpoints(black_hole.clone(), black_hole, scfg);
-    let err = run_two_party_over(e0, e1, &model, &cfg, image)
+    let err = run_two_party((e0, e1), &model, &cfg, &[image], &RunPlan::default())
         .expect_err("a black-hole link cannot complete an inference");
     match err {
         ProtocolError::Transport(
@@ -186,6 +212,44 @@ fn dead_link_degrades_to_typed_error() {
         | ProtocolError::Desync(_) => {}
         other => panic!("expected a typed transport/desync error, got: {other}"),
     }
+}
+
+/// A party that returns early drops its context, and with it its endpoint,
+/// at once: the peer blocked in `recv` fails with `Disconnected` instead of
+/// sitting out its 5 s receive deadline into a `Timeout`.
+#[test]
+fn early_return_disconnects_the_blocked_peer() {
+    let cfg = ProtocolConfig::paper(16);
+    let deadline = Duration::from_secs(5);
+    let started = Instant::now();
+    let (_, peer) = run_pair(duplex_with_timeout(Some(deadline)), &cfg, |ctx| match ctx.id {
+        PartyId::User => None,
+        PartyId::ModelProvider => Some(ctx.ep.recv()),
+    });
+    assert_eq!(peer.map(|r| r.map(|b| b.len())), Some(Err(TransportError::Disconnected)));
+    assert!(started.elapsed() < deadline, "peer waited out its deadline");
+}
+
+/// A wrong-length image fails on the user side; the model runner must
+/// return that typed error promptly — no panic, and no provider left
+/// waiting out its receive deadline.
+#[test]
+fn wrong_length_image_fails_typed_and_promptly() {
+    let (model, data) = trained_model(&zoo::tiny_cnn(4), 82);
+    let cfg = ProtocolConfig::paper(16);
+    let short = &data.test()[0].image[1..];
+    let deadline = Duration::from_secs(5);
+    let started = Instant::now();
+    let err = run_two_party(
+        duplex_with_timeout(Some(deadline)),
+        &model,
+        &cfg,
+        &[short],
+        &RunPlan::default(),
+    )
+    .expect_err("a wrong-length image cannot be shared");
+    assert!(matches!(err, ProtocolError::Shape(_)), "expected a shape error, got: {err}");
+    assert!(started.elapsed() < deadline, "runner waited out the receive deadline");
 }
 
 /// Fault-metrics soak: a fault-injected TCP inference with metrics
@@ -199,8 +263,10 @@ fn dead_link_degrades_to_typed_error() {
 fn fault_metrics_soak_exported_counters_match_schedule() {
     let (model, data) = trained_model(&zoo::tiny_cnn(4), 81);
     let cfg = ProtocolConfig::paper(16);
-    let image = &data.test()[0].image;
-    let baseline = run_two_party(&model, &cfg, image, 0).expect("clean run").logits;
+    let image = data.test()[0].image.as_slice();
+    let baseline = run_two_party(duplex(), &model, &cfg, &[image], &RunPlan::default())
+        .expect("clean run")
+        .logits;
 
     for seed in [7u64, 13, 29] {
         // Corruption + duplication (event-driven recovery, deterministic
@@ -220,7 +286,7 @@ fn fault_metrics_soak_exported_counters_match_schedule() {
             sess.attach_metrics(reg);
         }
 
-        let run = run_two_party_over(e0, e1, &model, &cfg, image)
+        let run = run_two_party((e0, e1), &model, &cfg, &[image], &RunPlan::default())
             .unwrap_or_else(|e| panic!("seed {seed}: inference failed under faults: {e}"));
         assert_eq!(run.logits, baseline, "seed {seed}: logits diverged under faults");
 
@@ -285,20 +351,9 @@ fn batched_dealer_service_bit_identical_under_lossy_link() {
     // Clean baseline with the *same* consumption pattern (batch 2, two
     // chunks): local truncation makes logits a function of the per-lane
     // triple stream position, so the baseline must batch identically.
-    let (e0, e1) = duplex();
-    let baseline = run_two_party_service(
-        e0,
-        e1,
-        &model,
-        &cfg,
-        &images,
-        2,
-        None,
-        PartyObs::default(),
-        PartyObs::default(),
-    )
-    .expect("clean service run")
-    .logits;
+    let plan = RunPlan { batch: 2, ..RunPlan::default() };
+    let baseline =
+        run_two_party(duplex(), &model, &cfg, &images, &plan).expect("clean service run").logits;
 
     let seed = 91u64;
     let (e0, e1, faults, sessions) = faulty_mem_endpoints(
@@ -307,18 +362,9 @@ fn batched_dealer_service_bit_identical_under_lossy_link() {
         soak_session_cfg(seed),
     );
     let dealer = DealerConfig { depth: 8, policy: ExhaustionPolicy::GenerateInline };
-    let run = run_two_party_service(
-        e0,
-        e1,
-        &model,
-        &cfg,
-        &images,
-        2,
-        Some(dealer),
-        PartyObs::default(),
-        PartyObs::default(),
-    )
-    .expect("dealer-backed service must survive the lossy link");
+    let plan = RunPlan { dealer: Some(dealer), ..plan };
+    let run = run_two_party((e0, e1), &model, &cfg, &images, &plan)
+        .expect("dealer-backed service must survive the lossy link");
     assert_eq!(run.logits, baseline, "batched logits diverged under faults");
 
     let injected: u64 = faults
@@ -346,8 +392,10 @@ fn lenet5_tcp_soak_bit_identical_under_fault_matrix() {
     let model = QuantModel::quantize(&net, &data.calibration(32), &QuantConfig::int8())
         .expect("quantization succeeds");
     let cfg = ProtocolConfig::paper(16);
-    let image = &data.test()[0].image;
-    let baseline = run_two_party(&model, &cfg, image, 0).expect("clean run").logits;
+    let image = data.test()[0].image.as_slice();
+    let baseline = run_two_party(duplex(), &model, &cfg, &[image], &RunPlan::default())
+        .expect("clean run")
+        .logits;
 
     for seed in [11u64, 22, 33, 44, 55] {
         let mut plan0 = FaultPlan::lossy(seed);
@@ -357,7 +405,7 @@ fn lenet5_tcp_soak_bit_identical_under_fault_matrix() {
         plan0.disconnect_at = vec![6 + seed % 9];
         plan1.disconnect_at = vec![12 + seed % 11];
         let (e0, e1, faults, sessions) = faulty_tcp_endpoints(plan0, plan1, soak_session_cfg(seed));
-        let run = run_two_party_over(e0, e1, &model, &cfg, image)
+        let run = run_two_party((e0, e1), &model, &cfg, &[image], &RunPlan::default())
             .unwrap_or_else(|e| panic!("seed {seed}: LeNet5 soak failed: {e}"));
         assert_eq!(run.logits, baseline, "seed {seed}: logits diverged under fault matrix");
         let injected: u64 = faults

@@ -3,13 +3,14 @@
 //! and ring widths, plus compiler-vs-measured communication consistency.
 
 use aq2pnn::instq;
-use aq2pnn::sim::run_two_party;
+use aq2pnn::sim::{run_two_party, RunPlan};
 use aq2pnn::{ProtocolConfig, ReluMode, ReluRounds};
 use aq2pnn_nn::data::SyntheticVision;
 use aq2pnn_nn::float::FloatNet;
 use aq2pnn_nn::quant::{QuantConfig, QuantModel};
 use aq2pnn_nn::tensor::argmax_i64;
 use aq2pnn_nn::zoo;
+use aq2pnn_transport::duplex;
 
 fn trained_model(spec: &aq2pnn_nn::spec::ModelSpec, seed: u64) -> (QuantModel, SyntheticVision) {
     let data = SyntheticVision::tiny(4, seed);
@@ -27,10 +28,11 @@ fn exact_mode_is_bit_exact_tiny_cnn() {
     let (model, data) = trained_model(&zoo::tiny_cnn(4), 100);
     let cfg = ProtocolConfig::exact(16);
     for s in data.test().iter().take(4) {
-        let secure = run_two_party(&model, &cfg, &s.image, 0).expect("2pc runs");
+        let secure = run_two_party(duplex(), &model, &cfg, &[&s.image], &RunPlan::default())
+            .expect("2pc runs");
         let reference =
             model.forward_ring_exact(&s.image, cfg.q1_bits, cfg.q2_bits).expect("reference runs");
-        assert_eq!(secure.logits, reference, "exact 2PC must match the ring reference");
+        assert_eq!(secure.logits[0], reference, "exact 2PC must match the ring reference");
     }
 }
 
@@ -41,10 +43,11 @@ fn exact_mode_is_bit_exact_tiny_resnet() {
     let (model, data) = trained_model(&zoo::tiny_resnet(4), 200);
     let cfg = ProtocolConfig::exact(16);
     for s in data.test().iter().take(3) {
-        let secure = run_two_party(&model, &cfg, &s.image, 0).expect("2pc runs");
+        let secure = run_two_party(duplex(), &model, &cfg, &[&s.image], &RunPlan::default())
+            .expect("2pc runs");
         let reference =
             model.forward_ring_exact(&s.image, cfg.q1_bits, cfg.q2_bits).expect("reference runs");
-        assert_eq!(secure.logits, reference);
+        assert_eq!(secure.logits[0], reference);
     }
 }
 
@@ -55,10 +58,11 @@ fn masked_mux_mode_is_bit_exact() {
     let mut cfg = ProtocolConfig::exact(16);
     cfg.relu_mode = ReluMode::MaskedMux;
     let s = &data.test()[0];
-    let secure = run_two_party(&model, &cfg, &s.image, 0).expect("2pc runs");
+    let secure =
+        run_two_party(duplex(), &model, &cfg, &[&s.image], &RunPlan::default()).expect("2pc runs");
     let reference =
         model.forward_ring_exact(&s.image, cfg.q1_bits, cfg.q2_bits).expect("reference");
-    assert_eq!(secure.logits, reference);
+    assert_eq!(secure.logits[0], reference);
 }
 
 /// The lazy (two-round, quadrant-gated) ABReLU schedule computes the same
@@ -69,10 +73,11 @@ fn lazy_rounds_are_bit_exact() {
     let mut cfg = ProtocolConfig::exact(16);
     cfg.relu_rounds = ReluRounds::Lazy;
     let s = &data.test()[1];
-    let secure = run_two_party(&model, &cfg, &s.image, 0).expect("2pc runs");
+    let secure =
+        run_two_party(duplex(), &model, &cfg, &[&s.image], &RunPlan::default()).expect("2pc runs");
     let reference =
         model.forward_ring_exact(&s.image, cfg.q1_bits, cfg.q2_bits).expect("reference");
-    assert_eq!(secure.logits, reference);
+    assert_eq!(secure.logits[0], reference);
 }
 
 /// The paper-faithful configuration (local truncation + local extension)
@@ -85,9 +90,10 @@ fn paper_mode_preserves_argmax_with_headroom() {
     let n = 12;
     let mut agree = 0;
     for s in data.test().iter().take(n) {
-        let secure = run_two_party(&model, &cfg, &s.image, 0).expect("2pc runs");
+        let secure = run_two_party(duplex(), &model, &cfg, &[&s.image], &RunPlan::default())
+            .expect("2pc runs");
         let plain = model.forward(&s.image).expect("plaintext runs");
-        if argmax_i64(&secure.logits) == argmax_i64(&plain) {
+        if argmax_i64(&secure.logits[0]) == argmax_i64(&plain) {
             agree += 1;
         }
     }
@@ -103,7 +109,9 @@ fn compiled_bytes_match_measured_bytes() {
         let mut cfg = ProtocolConfig::paper(16);
         cfg.relu_mode = mode;
         let program = instq::compile(&model, &cfg);
-        let run = run_two_party(&model, &cfg, &data.test()[0].image, 0).expect("2pc runs");
+        let run =
+            run_two_party(duplex(), &model, &cfg, &[&data.test()[0].image], &RunPlan::default())
+                .expect("2pc runs");
         assert_eq!(
             program.user_bytes_sent(),
             run.user_stats.bytes_sent,
@@ -126,7 +134,8 @@ fn communication_scales_down_with_q1() {
     let mut prev = u64::MAX;
     for bits in [24u32, 16, 12] {
         let cfg = ProtocolConfig::paper(bits);
-        let run = run_two_party(&model, &cfg, image, 0).expect("2pc runs");
+        let run =
+            run_two_party(duplex(), &model, &cfg, &[image], &RunPlan::default()).expect("2pc runs");
         let total = run.user_stats.total_bytes();
         assert!(total < prev, "q1={bits}: {total} not < {prev}");
         prev = total;
@@ -139,7 +148,8 @@ fn communication_scales_down_with_q1() {
 fn phase_accounting_is_complete() {
     let (model, data) = trained_model(&zoo::tiny_cnn(4), 800);
     let cfg = ProtocolConfig::paper(16);
-    let run = run_two_party(&model, &cfg, &data.test()[0].image, 0).expect("2pc runs");
+    let run = run_two_party(duplex(), &model, &cfg, &[&data.test()[0].image], &RunPlan::default())
+        .expect("2pc runs");
     let st = &run.user_stats;
     let phase_sum: u64 = st.phases.values().map(|p| p.bytes_sent).sum();
     assert_eq!(phase_sum, st.bytes_sent);
@@ -155,7 +165,8 @@ fn phase_accounting_is_complete() {
 fn avgpool_variant_has_no_pool_communication() {
     let (model, data) = trained_model(&zoo::tiny_cnn_avgpool(4), 900);
     let cfg = ProtocolConfig::paper(16);
-    let run = run_two_party(&model, &cfg, &data.test()[0].image, 0).expect("2pc runs");
+    let run = run_two_party(duplex(), &model, &cfg, &[&data.test()[0].image], &RunPlan::default())
+        .expect("2pc runs");
     let st = &run.user_stats;
     assert!(st.phases.keys().all(|k| !k.starts_with("maxpool")));
     let avg_bytes: u64 = st
@@ -175,8 +186,10 @@ fn maxpool_model_costs_more_than_avgpool_model() {
     let (avg_model, _) = trained_model(&zoo::tiny_cnn_avgpool(4), 1000);
     let cfg = ProtocolConfig::paper(16);
     let image = &data.test()[0].image;
-    let max_run = run_two_party(&max_model, &cfg, image, 0).expect("runs");
-    let avg_run = run_two_party(&avg_model, &cfg, image, 0).expect("runs");
+    let max_run =
+        run_two_party(duplex(), &max_model, &cfg, &[image], &RunPlan::default()).expect("runs");
+    let avg_run =
+        run_two_party(duplex(), &avg_model, &cfg, &[image], &RunPlan::default()).expect("runs");
     assert!(
         max_run.user_stats.total_bytes() > avg_run.user_stats.total_bytes(),
         "max {} vs avg {}",
