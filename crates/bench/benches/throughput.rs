@@ -46,7 +46,7 @@
 //! counts, default `1,4,16`), `SERVER_CLIENT_IMAGES` (images per client,
 //! default 2).
 
-use aq2pnn::dealer::{DealerConfig, ExhaustionPolicy};
+use aq2pnn::dealer::{DealerConfig, DealerHub, ExhaustionPolicy};
 use aq2pnn::engine::BatchInput;
 use aq2pnn::prepared::PreparedModel;
 use aq2pnn::substrate::obs::MetricsRegistry;
@@ -119,8 +119,9 @@ fn run_config(
     let provider = std::thread::spawn(move || {
         let mut ctx = PartyContext::new(PartyId::ModelProvider, e1, cfg1, Some(o1));
         let mut prepared = PreparedModel::prepare(&mut ctx, &m1).expect("provider prepare");
-        let _pool = warm.then(|| {
-            let pool = prepared.spawn_dealer(&ctx, dealer_cfg);
+        let hub = warm.then(DealerHub::new);
+        let _pool = hub.as_ref().map(|hub| {
+            let pool = prepared.spawn_dealer(&ctx, dealer_cfg, hub);
             assert!(pool.wait_warm(Duration::from_secs(60)), "provider dealer never warmed");
             pool
         });
@@ -135,8 +136,9 @@ fn run_config(
     let metrics = MetricsRegistry::new();
     ctx.set_obs(aq2pnn::substrate::obs::Tracer::default(), metrics.clone());
     let mut prepared = PreparedModel::prepare(&mut ctx, model).expect("user prepare");
-    let _pool = warm.then(|| {
-        let pool = prepared.spawn_dealer(&ctx, dealer_cfg);
+    let hub = warm.then(DealerHub::new);
+    let _pool = hub.as_ref().map(|hub| {
+        let pool = prepared.spawn_dealer(&ctx, dealer_cfg, hub);
         assert!(pool.wait_warm(Duration::from_secs(60)), "user dealer never warmed");
         pool
     });

@@ -7,13 +7,16 @@
 //! splitting both into shares. Inline, that work sits on the online
 //! critical path even though it depends on nothing the client sends.
 //!
-//! [`DealerPool`] moves it onto a dedicated [`aq2pnn_parallel::Worker`]:
-//! each lane becomes a [`LaneSlot`] — the lane itself plus a bounded FIFO
-//! of pre-generated [`TripleShare`]s keyed by the lane's `(a_shape, ℓ)` —
-//! and a single background refill loop keeps every queue at its
-//! configured depth (backpressure: the producer sleeps while all queues
-//! are full and wakes on consumption). A warm online pass then *pops*
-//! instead of *generating*.
+//! Every bound linear layer draws through one [`LaneSlot`]: the lane, its
+//! expansion, and a bounded FIFO of pre-generated [`TripleShare`]s. A slot
+//! no dealer serves keeps that queue empty, so each take generates
+//! inline. [`crate::prepared::PreparedModel::spawn_dealer`] registers a
+//! model's slots with a [`DealerHub`] — one refill worker shared by every
+//! registered [`DealerPool`] — which keeps every queue at its configured
+//! depth (backpressure: the producer sleeps while all queues are full and
+//! wakes on consumption). A warm online pass then *pops* instead of
+//! *generating*. A one-shot run uses a hub of its own; the multi-tenant
+//! server shares one across all sessions.
 //!
 //! ## Determinism
 //!
@@ -43,15 +46,15 @@
 //! here: they are cached per batch inside `aq2pnn_ot::flow` and their
 //! cost is already amortized across the batch dimension.
 
-use crate::{PartyContext, ProtocolError};
-use aq2pnn_obs::{MetricsRegistry, Tracer};
+use crate::ProtocolError;
+use aq2pnn_obs::{Histogram, MetricsRegistry, Tracer};
 use aq2pnn_parallel::sync::{AtomicBool, Condvar, Mutex, Ordering};
 use aq2pnn_parallel::Worker;
 use aq2pnn_ring::RingTensor;
 use aq2pnn_sharing::beaver::TripleShare;
 use aq2pnn_sharing::dealer::TripleLane;
 use std::collections::VecDeque;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// The public linear expansion a lane's `Z` is computed under (im2col for
 /// conv layers, row-vector reshape for linear layers).
@@ -68,7 +71,7 @@ pub enum ExhaustionPolicy {
     Fail,
 }
 
-/// Configuration for [`DealerPool`].
+/// Configuration for a [`DealerPool`].
 #[derive(Debug, Clone, Copy)]
 pub struct DealerConfig {
     /// Precomputed triples kept per lane (the backpressure bound).
@@ -85,13 +88,13 @@ impl Default for DealerConfig {
     }
 }
 
-/// Pool-wide state shared between the handle, the slots and the refill
-/// loop. Deliberately free of references back to the slots so there is no
-/// `Arc` cycle.
+/// Hub-wide state shared between the hub, its pools, their slots and the
+/// refill loop. Deliberately free of references back to the slots so
+/// there is no `Arc` cycle.
 struct PoolSignal {
     state: Mutex<PoolState>,
     /// Wakes the refill loop (consumption made space / pause toggled /
-    /// shutdown).
+    /// membership changed / shutdown).
     wake: Condvar,
 }
 
@@ -103,8 +106,16 @@ struct PoolState {
     dirty: bool,
 }
 
-/// One lane's pooled offline material: the generator (lane + expansion)
-/// and the bounded queue of ready triples.
+/// How a pooled slot is served; fixed when the slot joins a pool.
+struct PoolLink {
+    depth: usize,
+    policy: ExhaustionPolicy,
+    signal: Arc<PoolSignal>,
+    metrics: MetricsRegistry,
+}
+
+/// One linear layer's triple source: the generator (lane + expansion)
+/// and the bounded queue of ready triples a dealer fills.
 pub struct LaneSlot {
     label: String,
     /// Generation order == consumption order == the lane's RNG stream.
@@ -113,10 +124,10 @@ pub struct LaneSlot {
     lane: Mutex<TripleLane>,
     expand: ExpandFn,
     queue: Mutex<VecDeque<TripleShare>>,
-    depth: usize,
-    policy: ExhaustionPolicy,
-    signal: Arc<PoolSignal>,
-    metrics: MetricsRegistry,
+    /// The pool feeding `queue`, set once at registration. Unset, nothing
+    /// is ever queued: every take generates inline and records no
+    /// `dealer.*` metric.
+    pool: OnceLock<PoolLink>,
     /// Set when a background generation step panicked mid-draw. A panic
     /// inside `lane.next` may have half-advanced the lane's RNG stream,
     /// so *any* further draw from this lane — background or inline —
@@ -130,13 +141,26 @@ impl std::fmt::Debug for LaneSlot {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("LaneSlot")
             .field("label", &self.label)
-            .field("depth", &self.depth)
+            .field("depth", &self.depth())
             .field("queued", &self.queue.lock().len())
             .finish_non_exhaustive()
     }
 }
 
 impl LaneSlot {
+    /// An unpooled slot over `lane`: takes generate inline until the slot
+    /// joins a [`DealerPool`].
+    pub(crate) fn new(label: String, lane: TripleLane, expand: ExpandFn) -> LaneSlot {
+        LaneSlot {
+            label,
+            lane: Mutex::new(lane),
+            expand,
+            queue: Mutex::new(VecDeque::new()),
+            pool: OnceLock::new(),
+            wedged: AtomicBool::new(false),
+        }
+    }
+
     /// The layer label this slot serves (`conv0`, `fc4`, …).
     #[must_use]
     pub fn label(&self) -> &str {
@@ -149,6 +173,11 @@ impl LaneSlot {
         self.queue.lock().len()
     }
 
+    /// The pool's configured queue depth; `0` for an unpooled slot.
+    fn depth(&self) -> usize {
+        self.pool.get().map_or(0, |p| p.depth)
+    }
+
     /// True once a background generation step panicked on this lane (see
     /// the `wedged` field docs); the slot refuses all further takes.
     #[must_use]
@@ -157,12 +186,13 @@ impl LaneSlot {
     }
 
     /// Pops the next precomputed triple, falling back per the configured
-    /// [`ExhaustionPolicy`] when the queue is empty.
+    /// [`ExhaustionPolicy`] when the queue is empty. An unpooled slot
+    /// generates the next triple inline.
     ///
     /// # Errors
     ///
     /// [`ProtocolError::DealerExhausted`] on an empty queue under
-    /// [`ExhaustionPolicy::Fail`].
+    /// [`ExhaustionPolicy::Fail`], or on a wedged slot.
     pub fn take(&self) -> Result<TripleShare, ProtocolError> {
         if self.is_wedged() {
             // Not policy-dependent: after a mid-draw panic the stream
@@ -171,12 +201,15 @@ impl LaneSlot {
             // degradation.
             return Err(ProtocolError::DealerExhausted { layer: self.label.clone() });
         }
-        if let Some(t) = self.pop() {
-            self.metrics.add("dealer.hits", 1);
+        let Some(pool) = self.pool.get() else {
+            return Ok(self.lane.lock().next(|t| (self.expand)(t)));
+        };
+        if let Some(t) = self.pop(pool) {
+            pool.metrics.add("dealer.hits", 1);
             return Ok(t);
         }
-        self.metrics.add("dealer.misses", 1);
-        match self.policy {
+        pool.metrics.add("dealer.misses", 1);
+        match pool.policy {
             ExhaustionPolicy::Fail => {
                 Err(ProtocolError::DealerExhausted { layer: self.label.clone() })
             }
@@ -188,7 +221,7 @@ impl LaneSlot {
                 let started = std::time::Instant::now();
                 let t = {
                     let mut lane = self.lane.lock();
-                    match self.pop() {
+                    match self.pop(pool) {
                         Some(t) => t,
                         None => lane.next(|t| (self.expand)(t)),
                     }
@@ -198,24 +231,42 @@ impl LaneSlot {
                 // lost to offline work. Recorded outside the lane guard;
                 // sub-millisecond stalls round down to 0.
                 let ms = u64::try_from(started.elapsed().as_millis()).unwrap_or(u64::MAX);
-                self.metrics.add("dealer.starved_ms", ms);
+                pool.metrics.add("dealer.starved_ms", ms);
                 Ok(t)
             }
         }
     }
 
+    /// Draws the next `b` triples in stream order (one per batched image).
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`ProtocolError::DealerExhausted`] from
+    /// [`LaneSlot::take`].
+    #[allow(clippy::cast_precision_loss)]
+    pub(crate) fn take_n(&self, b: usize) -> Result<Vec<TripleShare>, ProtocolError> {
+        if let Some(pool) = self.pool.get() {
+            pool.metrics.observe_with(
+                "dealer.take_batch",
+                &Histogram::exponential(1.0, 2.0, 6),
+                b as f64,
+            );
+        }
+        (0..b).map(|_| self.take()).collect()
+    }
+
     /// Queue pop + bookkeeping shared by the hit path and the post-lock
     /// re-check.
-    fn pop(&self) -> Option<TripleShare> {
+    fn pop(&self, pool: &PoolLink) -> Option<TripleShare> {
         let mut queue = self.queue.lock();
         let t = queue.pop_front();
         let len = queue.len();
         drop(queue);
         if t.is_some() {
-            self.record_depth(len);
+            self.record_depth(pool, len);
             // Space opened up: wake the refill loop.
-            self.signal.state.lock().dirty = true;
-            self.signal.wake.notify_all();
+            pool.signal.state.lock().dirty = true;
+            pool.signal.wake.notify_all();
         }
         t
     }
@@ -223,8 +274,11 @@ impl LaneSlot {
     /// One background generation step: produce the lane's next triple and
     /// queue it. Returns `false` when the queue is already at depth.
     fn refill_one(&self) -> bool {
+        let Some(pool) = self.pool.get() else {
+            return false;
+        };
         let lane = &mut *self.lane.lock();
-        if self.queue.lock().len() >= self.depth {
+        if self.queue.lock().len() >= pool.depth {
             return false;
         }
         let t = lane.next(|t| (self.expand)(t));
@@ -234,15 +288,15 @@ impl LaneSlot {
         queue.push_back(t);
         let len = queue.len();
         drop(queue);
-        self.metrics.add("dealer.generated", 1);
-        self.record_depth(len);
+        pool.metrics.add("dealer.generated", 1);
+        self.record_depth(pool, len);
         true
     }
 
     #[allow(clippy::cast_precision_loss)]
-    fn record_depth(&self, len: usize) {
-        if self.metrics.is_enabled() {
-            self.metrics.gauge_set(&format!("dealer.queue_depth.{}", self.label), len as f64);
+    fn record_depth(&self, pool: &PoolLink, len: usize) {
+        if pool.metrics.is_enabled() {
+            pool.metrics.gauge_set(&format!("dealer.queue_depth.{}", self.label), len as f64);
         }
     }
 }
@@ -254,15 +308,16 @@ struct HubMember {
     slots: Vec<Arc<LaneSlot>>,
 }
 
-/// A refill worker **shared across sessions**: one thread, one condvar,
-/// many [`DealerPool`]s. The multi-tenant server keeps a single hub and
-/// registers each session's prepared-model lanes with it
-/// ([`crate::prepared::PreparedModel::spawn_dealer_on`]); a session's
+/// The refill worker: one thread, one condvar, many [`DealerPool`]s. A
+/// one-shot run keeps a hub per party; the multi-tenant server keeps a
+/// single hub and registers each session's prepared-model lanes with it
+/// ([`crate::prepared::PreparedModel::spawn_dealer`]). A session's
 /// teardown drops its pool, which deregisters its lanes — the reclaim the
 /// chaos soak asserts on — without disturbing any other session's queues.
 ///
-/// Dropping the hub itself stops refilling for everyone; surviving pools
-/// degrade to their exhaustion policy on the still-valid slots.
+/// Dropping the hub stops refilling for everyone and joins the worker;
+/// surviving pools degrade to their exhaustion policy on the still-valid
+/// slots.
 pub struct DealerHub {
     signal: Arc<PoolSignal>,
     members: Arc<Mutex<Vec<HubMember>>>,
@@ -278,8 +333,8 @@ impl std::fmt::Debug for DealerHub {
 }
 
 impl DealerHub {
-    /// Starts the shared refill worker (named `aq2pnn-dealer`, same as a
-    /// dedicated pool's) with no members yet.
+    /// Starts the refill worker (named `aq2pnn-dealer`) with no members
+    /// yet.
     #[must_use]
     pub fn new() -> DealerHub {
         let signal = Arc::new(PoolSignal {
@@ -290,7 +345,7 @@ impl DealerHub {
         let worker = Worker::spawn("aq2pnn-dealer");
         let loop_members = Arc::clone(&members);
         let loop_signal = Arc::clone(&signal);
-        worker.submit(move || hub_refill_loop(&loop_members, &loop_signal));
+        worker.submit(move || hub_loop(&loop_members, &loop_signal));
         DealerHub { signal, members, next_id: Mutex::new(0), _worker: worker }
     }
 
@@ -300,10 +355,9 @@ impl DealerHub {
         self.members.lock().len()
     }
 
-    /// Registers `lanes` as a new pool fed by this hub's worker. The
-    /// returned pool behaves like [`DealerPool::new`]'s except that
-    /// dropping it only deregisters these lanes — the shared worker keeps
-    /// serving every other member.
+    /// Registers `lanes` (one `(label, lane, expand)` each) as a new pool
+    /// fed by this hub's worker. Dropping the returned pool deregisters
+    /// these lanes only — the worker keeps serving every other member.
     #[must_use]
     pub fn register(
         &self,
@@ -312,11 +366,39 @@ impl DealerHub {
         lanes: Vec<(String, TripleLane, ExpandFn)>,
         cfg: DealerConfig,
     ) -> DealerPool {
-        let slots = make_slots(&self.signal, metrics, lanes, cfg);
+        let slots = lanes
+            .into_iter()
+            .map(|(label, lane, expand)| Arc::new(LaneSlot::new(label, lane, expand)))
+            .collect();
+        self.adopt(tracer, metrics, slots, cfg)
+    }
+
+    /// Registers existing slots as a new pool. Slots that already belong
+    /// to a pool are left where they are, so adopting a model's slots a
+    /// second time yields an empty pool.
+    pub(crate) fn adopt(
+        &self,
+        tracer: &Tracer,
+        metrics: &MetricsRegistry,
+        slots: Vec<Arc<LaneSlot>>,
+        cfg: DealerConfig,
+    ) -> DealerPool {
+        let depth = cfg.depth.max(1);
+        let slots: Vec<Arc<LaneSlot>> = slots
+            .into_iter()
+            .filter(|s| {
+                let link = PoolLink {
+                    depth,
+                    policy: cfg.policy,
+                    signal: Arc::clone(&self.signal),
+                    metrics: metrics.clone(),
+                };
+                s.pool.set(link).is_ok()
+            })
+            .collect();
         tracer.info(format!(
-            "dealer: hub pool over {} lanes, depth {}, policy {:?}",
+            "dealer: background pool over {} lanes, depth {depth}, policy {:?}",
             slots.len(),
-            cfg.depth.max(1),
             cfg.policy
         ));
         let id = {
@@ -325,13 +407,14 @@ impl DealerHub {
             *next
         };
         self.members.lock().push(HubMember { id, slots: slots.clone() });
-        // New empty queues exist: wake the shared loop to warm them.
+        // New empty queues exist: wake the loop to warm them.
         self.signal.state.lock().dirty = true;
         self.signal.wake.notify_all();
         DealerPool {
             slots,
             signal: Arc::clone(&self.signal),
-            attachment: Attachment::Hub { members: Arc::clone(&self.members), id },
+            members: Arc::clone(&self.members),
+            id,
         }
     }
 }
@@ -350,24 +433,15 @@ impl Drop for DealerHub {
     }
 }
 
-/// How a [`DealerPool`]'s slots are kept warm, which also fixes what its
-/// drop must tear down.
-enum Attachment {
-    /// Dedicated worker: drop closes the pool signal and joins the thread.
-    Owned(#[allow(dead_code)] Worker),
-    /// Member of a shared [`DealerHub`]: drop deregisters this pool's
-    /// slots; the hub's worker and the other members are untouched.
-    Hub { members: Arc<Mutex<Vec<HubMember>>>, id: u64 },
-}
-
-/// Handle to a running background dealer. Owns (or holds membership in)
-/// the refill worker; on drop the refill stops for this pool's lanes and
-/// any model still pointing at the slots falls back to inline generation
-/// (the slots stay valid via `Arc`).
+/// Handle to one hub membership. On drop the hub stops refilling this
+/// pool's lanes; any model still pointing at the slots keeps drawing from
+/// them under the pool's exhaustion policy (the slots stay valid via
+/// `Arc`).
 pub struct DealerPool {
     slots: Vec<Arc<LaneSlot>>,
     signal: Arc<PoolSignal>,
-    attachment: Attachment,
+    members: Arc<Mutex<Vec<HubMember>>>,
+    id: u64,
 }
 
 impl std::fmt::Debug for DealerPool {
@@ -377,47 +451,6 @@ impl std::fmt::Debug for DealerPool {
 }
 
 impl DealerPool {
-    /// Builds a pool over `lanes` (one `(label, lane, expand)` per linear
-    /// layer, in layer order) and starts the background refill loop.
-    ///
-    /// Used through [`crate::prepared::PreparedModel::spawn_dealer`],
-    /// which moves a prepared model's resident lanes in here; constructing
-    /// directly is useful for tests and benches.
-    #[must_use]
-    pub fn new(
-        ctx: &PartyContext,
-        lanes: Vec<(String, TripleLane, ExpandFn)>,
-        cfg: DealerConfig,
-    ) -> DealerPool {
-        Self::new_inner(&ctx.tracer, &ctx.metrics, lanes, cfg)
-    }
-
-    /// Context-free constructor backing [`DealerPool::new`]; the loom
-    /// models build pools through this without standing up a transport.
-    pub(crate) fn new_inner(
-        tracer: &Tracer,
-        metrics: &MetricsRegistry,
-        lanes: Vec<(String, TripleLane, ExpandFn)>,
-        cfg: DealerConfig,
-    ) -> DealerPool {
-        let signal = Arc::new(PoolSignal {
-            state: Mutex::new(PoolState { paused: false, closed: false, dirty: true }),
-            wake: Condvar::new(),
-        });
-        let slots = make_slots(&signal, metrics, lanes, cfg);
-        tracer.info(format!(
-            "dealer: background pool over {} lanes, depth {}, policy {:?}",
-            slots.len(),
-            cfg.depth.max(1),
-            cfg.policy
-        ));
-        let worker = Worker::spawn("aq2pnn-dealer");
-        let loop_slots = slots.clone();
-        let loop_signal = Arc::clone(&signal);
-        worker.submit(move || refill_loop(&loop_slots, &loop_signal));
-        DealerPool { slots, signal, attachment: Attachment::Owned(worker) }
-    }
-
     /// The pooled lane slots, in layer order.
     #[must_use]
     pub fn slots(&self) -> &[Arc<LaneSlot>] {
@@ -426,8 +459,8 @@ impl DealerPool {
 
     /// Stops background refilling (queues drain but are not replenished).
     /// Deterministic-exhaustion knob for tests and cold-start benches.
-    /// On a hub-registered pool this pauses the *shared* refill loop —
-    /// every member — since the signal is hub-wide.
+    /// This pauses the hub's refill loop — every member — since the
+    /// signal is hub-wide.
     pub fn pause(&self) {
         self.signal.state.lock().paused = true;
         self.signal.wake.notify_all();
@@ -445,7 +478,7 @@ impl DealerPool {
     /// True once every lane queue is at its configured depth.
     #[must_use]
     pub fn is_warm(&self) -> bool {
-        self.slots.iter().all(|s| s.queued() >= s.depth)
+        self.slots.iter().all(|s| s.queued() >= s.depth())
     }
 
     /// Blocks until the pool is warm or `timeout` elapses; returns whether
@@ -465,94 +498,20 @@ impl DealerPool {
 
 impl Drop for DealerPool {
     fn drop(&mut self) {
-        match &self.attachment {
-            Attachment::Owned(_) => {
-                self.signal.state.lock().closed = true;
-                self.signal.wake.notify_all();
-                // The owned worker drops after this, joining the thread.
-            }
-            Attachment::Hub { members, id } => {
-                // Deregister only this pool's lanes; the shared worker and
-                // every other member keep running.
-                members.lock().retain(|m| m.id != *id);
-                self.signal.state.lock().dirty = true;
-                self.signal.wake.notify_all();
-            }
-        }
+        // Deregister only this pool's lanes; the hub's worker and every
+        // other member keep running.
+        self.members.lock().retain(|m| m.id != self.id);
+        self.signal.state.lock().dirty = true;
+        self.signal.wake.notify_all();
     }
 }
 
-/// Builds the slot set for one pool over `signal`, shared by the dedicated
-/// and hub constructors.
-fn make_slots(
-    signal: &Arc<PoolSignal>,
-    metrics: &MetricsRegistry,
-    lanes: Vec<(String, TripleLane, ExpandFn)>,
-    cfg: DealerConfig,
-) -> Vec<Arc<LaneSlot>> {
-    let depth = cfg.depth.max(1);
-    lanes
-        .into_iter()
-        .map(|(label, lane, expand)| {
-            Arc::new(LaneSlot {
-                label,
-                lane: Mutex::new(lane),
-                expand,
-                queue: Mutex::new(VecDeque::with_capacity(depth)),
-                depth,
-                policy: cfg.policy,
-                signal: Arc::clone(signal),
-                metrics: metrics.clone(),
-                wedged: AtomicBool::new(false),
-            })
-        })
-        .collect()
-}
-
-/// The shared-hub refill loop: like [`refill_loop`] but re-snapshots the
-/// member list each sweep, so pools can register and deregister while the
-/// worker runs. Lock order: pool-signal state and the member list are
-/// never held together.
-fn hub_refill_loop(members: &Arc<Mutex<Vec<HubMember>>>, signal: &Arc<PoolSignal>) {
-    loop {
-        {
-            let mut st = signal.state.lock();
-            if st.closed {
-                return;
-            }
-            if st.paused {
-                let _st = signal.wake.wait(st);
-                continue;
-            }
-            st.dirty = false;
-        }
-        let snapshot: Vec<Arc<LaneSlot>> =
-            members.lock().iter().flat_map(|m| m.slots.iter().cloned()).collect();
-        let mut progressed = false;
-        for slot in &snapshot {
-            if signal.state.lock().closed {
-                return;
-            }
-            if slot.is_wedged() {
-                continue;
-            }
-            match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| slot.refill_one())) {
-                Ok(p) => progressed |= p,
-                Err(_) => slot.wedged.store(true, Ordering::SeqCst),
-            }
-        }
-        if !progressed {
-            let st = signal.state.lock();
-            if !st.dirty && !st.closed {
-                let _st = signal.wake.wait(st);
-            }
-        }
-    }
-}
-
-/// The background refill loop: round-robin over the slots, topping each
-/// queue up to depth; park on the pool condvar when no queue has space.
-fn refill_loop(slots: &[Arc<LaneSlot>], signal: &Arc<PoolSignal>) {
+/// The refill loop: round-robin over every member's slots, topping each
+/// queue up to depth; park on the hub condvar when no queue has space.
+/// The member list is re-snapshotted each sweep, so pools can register and
+/// deregister while the worker runs. Lock order: hub-signal state and the
+/// member list are never held together.
+fn hub_loop(members: &Arc<Mutex<Vec<HubMember>>>, signal: &Arc<PoolSignal>) {
     loop {
         {
             let mut st = signal.state.lock();
@@ -567,8 +526,10 @@ fn refill_loop(slots: &[Arc<LaneSlot>], signal: &Arc<PoolSignal>) {
             // re-sets it and the post-scan wait returns immediately.
             st.dirty = false;
         }
+        let snapshot: Vec<Arc<LaneSlot>> =
+            members.lock().iter().flat_map(|m| m.slots.iter().cloned()).collect();
         let mut progressed = false;
-        for slot in slots {
+        for slot in &snapshot {
             // One triple per slot per sweep keeps refill breadth-first
             // across layers, so a whole inference's worth of material
             // becomes available as early as possible.
@@ -590,41 +551,6 @@ fn refill_loop(slots: &[Arc<LaneSlot>], signal: &Arc<PoolSignal>) {
             let st = signal.state.lock();
             if !st.dirty && !st.closed {
                 let _st = signal.wake.wait(st);
-            }
-        }
-    }
-}
-
-/// Where a prepared linear layer draws its per-inference triples from:
-/// its own resident lane (inline generation on the online path) or a
-/// pooled slot fed by the background dealer.
-pub(crate) enum TripleSource {
-    Inline(Box<TripleLane>),
-    Pooled(Arc<LaneSlot>),
-}
-
-impl TripleSource {
-    /// Draws the next `b` triples in stream order (one per batched image).
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`ProtocolError::DealerExhausted`] from a strict pooled
-    /// slot.
-    #[allow(clippy::cast_precision_loss)]
-    pub(crate) fn take_n(
-        &mut self,
-        b: usize,
-        expand: impl Fn(&RingTensor) -> RingTensor,
-    ) -> Result<Vec<TripleShare>, ProtocolError> {
-        match self {
-            TripleSource::Inline(lane) => Ok((0..b).map(|_| lane.next(&expand)).collect()),
-            TripleSource::Pooled(slot) => {
-                slot.metrics.observe_with(
-                    "dealer.take_batch",
-                    &aq2pnn_obs::Histogram::exponential(1.0, 2.0, 6),
-                    b as f64,
-                );
-                (0..b).map(|_| slot.take()).collect()
             }
         }
     }
@@ -655,7 +581,8 @@ mod tests {
             }
             t.clone()
         });
-        let pool = DealerPool::new_inner(
+        let hub = DealerHub::new();
+        let pool = hub.register(
             &Tracer::disabled(),
             &MetricsRegistry::disabled(),
             vec![
@@ -685,7 +612,8 @@ mod tests {
         for _ in 0..4 {
             good.take().expect("healthy lane keeps serving");
         }
-        drop(pool); // join must not hang on the survived worker
+        drop(pool);
+        drop(hub); // join must not hang on the survived worker
     }
 
     /// Two pools share one hub worker; dropping one deregisters only its
@@ -742,11 +670,12 @@ mod loom_tests {
     use aq2pnn_ring::Ring;
     use aq2pnn_sharing::dealer::TripleDealer;
 
-    /// A consumer draining a depth-1 pool races the background refill
+    /// A consumer draining a depth-1 hub pool races the hub's refill
     /// loop. Under every interleaving: takes must yield the lane's RNG
     /// stream in order (push-before-unlock invariant), no schedule may
     /// deadlock (lost-wakeup freedom for the dirty/wake handshake, both
-    /// directions), and drop must shut the refill loop down cleanly.
+    /// directions), and dropping the pool and then the hub must shut the
+    /// refill loop down cleanly.
     #[test]
     fn loom_dealer_stream_order_and_shutdown() {
         loom::model(|| {
@@ -758,7 +687,8 @@ mod loom_tests {
             let expected: Vec<TripleShare> =
                 (0..3).map(|_| reference.next(RingTensor::clone)).collect();
 
-            let pool = DealerPool::new_inner(
+            let hub = DealerHub::new();
+            let pool = hub.register(
                 &Tracer::disabled(),
                 &MetricsRegistry::disabled(),
                 vec![("l0".to_string(), lane, Box::new(RingTensor::clone) as ExpandFn)],
@@ -770,6 +700,7 @@ mod loom_tests {
                 assert!(got == *want, "take {k} out of stream order");
             }
             drop(pool);
+            drop(hub);
         });
         assert!(loom::explored() > 1, "model must explore real interleavings");
     }

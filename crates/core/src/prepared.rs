@@ -12,9 +12,9 @@
 //!
 //! * [`PreparedModel::prepare`] walks the model once, deriving weight and
 //!   bias shares from the setup PRG, transposing weights into the
-//!   `[in_c·k·k, out_c]` GEMM layout, creating a resident
-//!   [`TripleLane`] per linear layer, and opening each layer's weight mask
-//!   under the `offline-f` phase.
+//!   `[in_c·k·k, out_c]` GEMM layout, drawing a triple lane per linear
+//!   layer, and opening each layer's weight mask under the `offline-f`
+//!   phase.
 //! * [`PreparedModel::run_batch`] then executes `B ≥ 1` inferences using
 //!   only the per-input work: input sharing, fresh `A`/`Z` triples from
 //!   the lanes, the online `E` exchanges, and the non-linear protocols.
@@ -31,14 +31,20 @@
 //!   is `Send + Sync` plain data, so a multi-tenant server builds it once
 //!   per (model, ℓ-profile) and shares it across sessions behind an `Arc`.
 //! * [`PreparedTemplate::bind`] — the per-session remainder: drawing each
-//!   linear layer's [`TripleLane`] from the session dealer (keeping the
+//!   linear layer's triple lane from the session dealer (keeping the
 //!   dealer stream in lockstep with a peer doing a full `prepare`) and the
 //!   one interactive step, the `offline-f` weight-mask openings.
 //!
-//! `prepare` = `build` + `bind`, with byte-identical wire traffic.
+//! `prepare` = `build` + `bind` on a fresh `Arc`, with byte-identical wire
+//! traffic. The bound [`PreparedModel`] holds the template by `Arc` —
+//! weights are never copied per session — plus, per linear layer in
+//! online walk order, the opened mask and the [`LaneSlot`] its triples
+//! come from. A slot generates inline until
+//! [`PreparedModel::spawn_dealer`] registers it with a
+//! [`DealerHub`]; the online walk is the same either way.
 
 use crate::abrelu::abrelu;
-use crate::dealer::{DealerConfig, DealerPool, ExpandFn, LaneSlot, TripleSource};
+use crate::dealer::{DealerConfig, DealerHub, DealerPool, ExpandFn, LaneSlot};
 use crate::engine::{secure_max_windows, BatchInput, BatchOutput};
 use crate::gemm::open_weight_mask;
 use crate::ops::{
@@ -56,80 +62,37 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha20Rng;
 use std::sync::Arc;
 
-/// A model lowered to its resident per-party inference state: weight and
-/// bias shares, opened weight masks, triple lanes, and pooling geometry.
+/// A model bound to one session: the shared [`PreparedTemplate`] (weight
+/// and bias shares, pooling geometry) plus this session's opened weight
+/// masks and triple sources.
 ///
-/// Build one with [`PreparedModel::prepare`] (both parties in lockstep),
-/// then call [`PreparedModel::run_batch`] once per batch of inputs. The struct is
-/// party-specific — it holds *this* party's shares — and channel-free, so
-/// it can outlive many runs over the same [`PartyContext`].
+/// Build one with [`PreparedModel::prepare`] (both parties in lockstep)
+/// or [`PreparedTemplate::bind`], then call [`PreparedModel::run_batch`]
+/// once per batch of inputs. The struct is party-specific — it holds
+/// *this* party's shares — and channel-free, so it can outlive many runs
+/// over the same [`PartyContext`].
 pub struct PreparedModel {
-    ops: Vec<PreparedOp>,
-    n_in: usize,
-    input_scale: f32,
-    act_bits: u32,
+    template: Arc<PreparedTemplate>,
+    /// One entry per linear layer, in online walk order (residual main
+    /// before shortcut).
+    layers: Vec<BoundLayer>,
 }
 
 impl std::fmt::Debug for PreparedModel {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PreparedModel")
-            .field("ops", &self.ops.len())
-            .field("n_in", &self.n_in)
+            .field("ops", &self.template.ops.len())
+            .field("layers", &self.layers.len())
+            .field("n_in", &self.template.n_in)
             .finish_non_exhaustive()
     }
 }
 
-/// One lowered operator with its engine layer index (which names the
-/// communication phases: `conv{idx}`, `abrelu{idx}`, …).
-struct PreparedOp {
-    idx: usize,
-    kind: PreparedKind,
-}
-
-enum PreparedKind {
-    Conv2d {
-        geom: ConvGeometry,
-        w_mat: AShare,
-        bias: AShare,
-        f_open: RingTensor,
-        source: TripleSource,
-        requant: Requant,
-    },
-    Linear {
-        w_mat: AShare,
-        bias: AShare,
-        f_open: RingTensor,
-        source: TripleSource,
-        requant: Requant,
-    },
-    Relu,
-    MaxPool {
-        c: usize,
-        out_hw: (usize, usize),
-        windows: Vec<Vec<usize>>,
-    },
-    AvgPool {
-        k: usize,
-        stride: usize,
-        pad: usize,
-        c: usize,
-        in_hw: (usize, usize),
-        out_hw: (usize, usize),
-        requant: Requant,
-    },
-    GlobalAvgPool {
-        c: usize,
-        spatial: usize,
-        requant: Requant,
-    },
-    Flatten,
-    Rescale {
-        requant: Requant,
-    },
-    Residual {
-        main: Vec<PreparedOp>,
-        shortcut: Vec<PreparedOp>,
-    },
+/// The session-bound state of one linear layer: its opened weight mask
+/// `F = W − B` and the slot its per-inference triples come from.
+struct BoundLayer {
+    f_open: RingTensor,
+    triples: Arc<LaneSlot>,
 }
 
 impl PreparedModel {
@@ -148,7 +111,7 @@ impl PreparedModel {
         model: &QuantModel,
     ) -> Result<PreparedModel, ProtocolError> {
         let cfg = ctx.cfg.clone();
-        PreparedTemplate::build(ctx.id, &cfg, model)?.bind(ctx)
+        Arc::new(PreparedTemplate::build(ctx.id, &cfg, model)?).bind(ctx)
     }
 
     /// Runs one **batched** online pass: `B` images walk the network
@@ -202,7 +165,8 @@ impl PreparedModel {
         let batch_arg = [("batch", aq2pnn_obs::ArgValue::from(b as u64))];
         // secrecy: allow(secret-branch, "span-arg choice keyed on the public batch size, identical on both parties")
         let in_span = ctx.span_begin("input", CAT_LAYER, if b > 1 { &batch_arg } else { &[] });
-        let n_in = self.n_in;
+        let PreparedTemplate { ops, n_in, input_scale, act_bits } = &*self.template;
+        let n_in = *n_in;
         // Per-image mask from the re-seeded input stream — byte-for-byte
         // what `b` sequential runs would derive.
         let x = match (ctx.id, input) {
@@ -213,7 +177,7 @@ impl PreparedModel {
                     let mut in_stream =
                         ChaCha20Rng::seed_from_u64(ctx.cfg.setup_seed ^ 0x1fa7_0001);
                     let mask = RingTensor::random(act_ring, vec![n_in], &mut in_stream);
-                    let qx = quantize_image(image, self.input_scale, self.act_bits);
+                    let qx = quantize_image(image, *input_scale, *act_bits);
                     let enc = RingTensor::from_signed(act_ring, vec![n_in], &qx)?;
                     data.extend_from_slice(enc.sub(&mask)?.as_slice());
                 }
@@ -240,7 +204,7 @@ impl PreparedModel {
         end_layer_span(ctx, in_span, &x);
 
         // --- Walk the prepared ops (online work only). ---
-        let out = run_ops(ctx, &mut self.ops, x, b)?;
+        let out = run_ops(ctx, ops, &mut self.layers.iter(), x, b)?;
 
         // --- Reveal the logits. ---
         ctx.ep.set_phase("output");
@@ -262,45 +226,26 @@ impl PreparedModel {
         Ok(BatchOutput { logits, stats: ctx.ep.stats() })
     }
 
-    /// Moves this model's resident triple lanes into a background
-    /// [`DealerPool`]: a dedicated worker thread keeps a bounded queue of
+    /// Registers this model's triple slots with `hub` as a new
+    /// [`DealerPool`]: the hub's worker keeps a bounded queue of
     /// pre-generated triples per linear layer, so subsequent
-    /// [`PreparedModel::run_batch`] calls *pop*
-    /// offline material instead of generating it on the online critical
-    /// path.
+    /// [`PreparedModel::run_batch`] calls *pop* offline material instead
+    /// of generating it on the online critical path.
     ///
     /// Purely party-local (no protocol traffic, no cross-party
     /// coordination) — one party may pool while the other stays inline.
-    /// Dropping the returned pool stops refilling; the model then falls
-    /// back to the pool's exhaustion behavior on the still-shared slots.
-    /// Calling again on an already-pooled model is a no-op returning an
-    /// empty pool.
-    pub fn spawn_dealer(&mut self, ctx: &PartyContext, cfg: DealerConfig) -> DealerPool {
-        let mut lanes: Vec<(String, aq2pnn_sharing::dealer::TripleLane, ExpandFn)> = Vec::new();
-        collect_lanes(&self.ops, &mut lanes);
-        let pool = DealerPool::new(ctx, lanes, cfg);
-        let mut cursor = 0usize;
-        assign_slots(&mut self.ops, pool.slots(), &mut cursor);
-        pool
-    }
-
-    /// Like [`PreparedModel::spawn_dealer`], but registers the lanes with
-    /// a shared [`DealerHub`] instead of spawning a dedicated worker — the
-    /// multi-tenant server's shape, where one dealer thread serves every
-    /// session and a session's teardown (dropping the returned pool)
-    /// reclaims exactly its own lanes.
-    pub fn spawn_dealer_on(
+    /// Dropping the returned pool stops refilling these lanes; the model
+    /// then falls back to the pool's exhaustion behavior on the
+    /// still-shared slots. Calling again on an already-pooled model is a
+    /// no-op returning an empty pool.
+    pub fn spawn_dealer(
         &mut self,
         ctx: &PartyContext,
         cfg: DealerConfig,
-        hub: &crate::dealer::DealerHub,
+        hub: &DealerHub,
     ) -> DealerPool {
-        let mut lanes: Vec<(String, aq2pnn_sharing::dealer::TripleLane, ExpandFn)> = Vec::new();
-        collect_lanes(&self.ops, &mut lanes);
-        let pool = hub.register(&ctx.tracer, &ctx.metrics, lanes, cfg);
-        let mut cursor = 0usize;
-        assign_slots(&mut self.ops, pool.slots(), &mut cursor);
-        pool
+        let slots = self.layers.iter().map(|l| Arc::clone(&l.triples)).collect();
+        hub.adopt(&ctx.tracer, &ctx.metrics, slots, cfg)
     }
 }
 
@@ -410,143 +355,59 @@ impl PreparedTemplate {
     /// [`PreparedModel::prepare`], so both parties' dealer streams stay in
     /// lockstep even when only one side uses a cached template) and runs
     /// the `offline-f` weight-mask openings — the only interactive step.
+    /// The bound model shares this template; nothing in it is copied.
     ///
     /// # Errors
     ///
     /// Returns a [`ProtocolError`] on channel failure or desync.
-    pub fn bind(&self, ctx: &mut PartyContext) -> Result<PreparedModel, ProtocolError> {
-        let ops = bind_ops(ctx, &self.ops)?;
-        Ok(PreparedModel {
-            ops,
-            n_in: self.n_in,
-            input_scale: self.input_scale,
-            act_bits: self.act_bits,
-        })
+    pub fn bind(self: &Arc<Self>, ctx: &mut PartyContext) -> Result<PreparedModel, ProtocolError> {
+        let mut layers = Vec::new();
+        bind_layers(ctx, &self.ops, &mut layers)?;
+        Ok(PreparedModel { template: Arc::clone(self), layers })
     }
 }
 
-/// The bind walk: mirrors [`build_ops`] order exactly so dealer
-/// consumption matches a monolithic `prepare`.
-fn bind_ops(ctx: &mut PartyContext, ops: &[TemplateOp]) -> Result<Vec<PreparedOp>, ProtocolError> {
+/// The bind walk: one [`BoundLayer`] per linear layer, in [`build_ops`]
+/// order (which is also [`run_ops`] order), so dealer consumption matches
+/// a monolithic `prepare`. Each slot's expansion (im2col on the layer's
+/// geometry, or the `[1, in_f]` row reshape) is fixed here.
+fn bind_layers(
+    ctx: &mut PartyContext,
+    ops: &[TemplateOp],
+    out: &mut Vec<BoundLayer>,
+) -> Result<(), ProtocolError> {
     let q2 = ctx.q2();
-    let mut out = Vec::with_capacity(ops.len());
     for op in ops {
-        let idx = op.idx;
-        let kind = match &op.kind {
-            TemplateKind::Conv2d { geom, w_mat, bias, a_shape, out_shape, requant } => {
-                let span = ctx.span_begin(format!("conv{idx}"), CAT_OFFLINE, &[]);
-                let lane = ctx.expanded_lane(q2, a_shape, w_mat.shape());
-                let f_open = open_weight_mask(ctx, w_mat, lane.b_share())?;
-                ctx.span_end_with(span, &[(ARG_SHAPE, shape_str(out_shape).into())]);
-                PreparedKind::Conv2d {
-                    geom: *geom,
-                    w_mat: w_mat.clone(),
-                    bias: bias.clone(),
-                    f_open,
-                    source: TripleSource::Inline(Box::new(lane)),
-                    requant: *requant,
-                }
-            }
-            TemplateKind::Linear { w_mat, bias, a_shape, out_shape, requant } => {
-                let span = ctx.span_begin(format!("fc{idx}"), CAT_OFFLINE, &[]);
-                let lane = ctx.expanded_lane(q2, a_shape, w_mat.shape());
-                let f_open = open_weight_mask(ctx, w_mat, lane.b_share())?;
-                ctx.span_end_with(span, &[(ARG_SHAPE, shape_str(out_shape).into())]);
-                PreparedKind::Linear {
-                    w_mat: w_mat.clone(),
-                    bias: bias.clone(),
-                    f_open,
-                    source: TripleSource::Inline(Box::new(lane)),
-                    requant: *requant,
-                }
-            }
-            TemplateKind::Relu => PreparedKind::Relu,
-            TemplateKind::MaxPool { c, out_hw, windows } => {
-                PreparedKind::MaxPool { c: *c, out_hw: *out_hw, windows: windows.clone() }
-            }
-            TemplateKind::AvgPool { k, stride, pad, c, in_hw, out_hw, requant } => {
-                PreparedKind::AvgPool {
-                    k: *k,
-                    stride: *stride,
-                    pad: *pad,
-                    c: *c,
-                    in_hw: *in_hw,
-                    out_hw: *out_hw,
-                    requant: *requant,
-                }
-            }
-            TemplateKind::GlobalAvgPool { c, spatial, requant } => {
-                PreparedKind::GlobalAvgPool { c: *c, spatial: *spatial, requant: *requant }
-            }
-            TemplateKind::Flatten => PreparedKind::Flatten,
-            TemplateKind::Rescale { requant } => PreparedKind::Rescale { requant: *requant },
-            TemplateKind::Residual { main, shortcut } => PreparedKind::Residual {
-                main: bind_ops(ctx, main)?,
-                shortcut: bind_ops(ctx, shortcut)?,
-            },
-        };
-        out.push(PreparedOp { idx, kind });
-    }
-    Ok(out)
-}
-
-/// Gathers `(label, lane, expand)` for every inline linear layer, in the
-/// online walk order (residual main before shortcut — the same order
-/// [`assign_slots`] revisits them in).
-fn collect_lanes(
-    ops: &[PreparedOp],
-    out: &mut Vec<(String, aq2pnn_sharing::dealer::TripleLane, ExpandFn)>,
-) {
-    for op in ops {
-        match &op.kind {
-            PreparedKind::Conv2d { geom, source: TripleSource::Inline(lane), .. } => {
+        let (w_mat, a_shape, out_shape, expand) = match &op.kind {
+            TemplateKind::Conv2d { geom, w_mat, a_shape, out_shape, .. } => {
                 let g = *geom;
-                out.push((
-                    format!("conv{}", op.idx),
-                    lane.as_ref().clone(),
-                    Box::new(move |t| im2col_tensor(t, &g)),
-                ));
+                let expand: ExpandFn = Box::new(move |t| im2col_tensor(t, &g));
+                (w_mat, a_shape, out_shape, expand)
             }
-            PreparedKind::Linear { source: TripleSource::Inline(lane), .. } => {
-                let in_f: usize = lane.a_shape().iter().product();
-                out.push((
-                    format!("fc{}", op.idx),
-                    lane.as_ref().clone(),
-                    Box::new(move |t| {
-                        let mut m = t.clone();
-                        m.reshape(vec![1, in_f]).expect("row vector");
-                        m
-                    }),
-                ));
+            TemplateKind::Linear { w_mat, a_shape, out_shape, .. } => {
+                let in_f: usize = a_shape.iter().product();
+                let expand: ExpandFn = Box::new(move |t| {
+                    let mut m = t.clone();
+                    m.reshape(vec![1, in_f]).expect("row vector");
+                    m
+                });
+                (w_mat, a_shape, out_shape, expand)
             }
-            PreparedKind::Residual { main, shortcut } => {
-                collect_lanes(main, out);
-                collect_lanes(shortcut, out);
+            TemplateKind::Residual { main, shortcut } => {
+                bind_layers(ctx, main, out)?;
+                bind_layers(ctx, shortcut, out)?;
+                continue;
             }
-            _ => {}
-        }
+            _ => continue,
+        };
+        let label = op.kind.label(op.idx).expect("linear layers are labelled");
+        let span = ctx.span_begin(label.clone(), CAT_OFFLINE, &[]);
+        let lane = ctx.expanded_lane(q2, a_shape, w_mat.shape());
+        let f_open = open_weight_mask(ctx, w_mat, lane.b_share())?;
+        ctx.span_end_with(span, &[(ARG_SHAPE, shape_str(out_shape).into())]);
+        out.push(BoundLayer { f_open, triples: Arc::new(LaneSlot::new(label, lane, expand)) });
     }
-}
-
-/// Second walk of [`PreparedModel::spawn_dealer`]: repoints each inline
-/// linear layer at its pooled slot, in the same order [`collect_lanes`]
-/// gathered them.
-fn assign_slots(ops: &mut [PreparedOp], slots: &[Arc<LaneSlot>], cursor: &mut usize) {
-    for op in ops.iter_mut() {
-        match &mut op.kind {
-            PreparedKind::Conv2d { source, .. } | PreparedKind::Linear { source, .. } => {
-                if matches!(source, TripleSource::Inline(_)) {
-                    *source = TripleSource::Pooled(Arc::clone(&slots[*cursor]));
-                    *cursor += 1;
-                }
-            }
-            PreparedKind::Residual { main, shortcut } => {
-                assign_slots(main, slots, cursor);
-                assign_slots(shortcut, slots, cursor);
-            }
-            _ => {}
-        }
-    }
+    Ok(())
 }
 
 /// `"6x24x24"`-style shape label for span arguments (public structure).
@@ -566,21 +427,23 @@ fn end_layer_span(ctx: &PartyContext, span: IoSpan, out: &AShare) {
     );
 }
 
-/// The span/phase name of a lowered op, `None` for ops that are pure
-/// bookkeeping ([`PreparedKind::Flatten`]) or that must not wrap their
-/// children in a span ([`PreparedKind::Residual`] — the branch layers stay
-/// top-level so the cost report keeps one row per layer; only the final
-/// add gets its own `resadd{idx}` span inside the arm).
-fn layer_label(idx: usize, kind: &PreparedKind) -> Option<String> {
-    match kind {
-        PreparedKind::Conv2d { .. } => Some(format!("conv{idx}")),
-        PreparedKind::Linear { .. } => Some(format!("fc{idx}")),
-        PreparedKind::Relu => Some(format!("abrelu{idx}")),
-        PreparedKind::MaxPool { .. } => Some(format!("maxpool{idx}")),
-        PreparedKind::AvgPool { .. } => Some(format!("avgpool{idx}")),
-        PreparedKind::GlobalAvgPool { .. } => Some(format!("gap{idx}")),
-        PreparedKind::Rescale { .. } => Some(format!("rescale{idx}")),
-        PreparedKind::Flatten | PreparedKind::Residual { .. } => None,
+impl TemplateKind {
+    /// The span/phase name of a lowered op, `None` for ops that are pure
+    /// bookkeeping ([`TemplateKind::Flatten`]) or that must not wrap their
+    /// children in a span ([`TemplateKind::Residual`] — the branch layers
+    /// stay top-level so the cost report keeps one row per layer; only the
+    /// final add gets its own `resadd{idx}` span inside the arm).
+    fn label(&self, idx: usize) -> Option<String> {
+        match self {
+            TemplateKind::Conv2d { .. } => Some(format!("conv{idx}")),
+            TemplateKind::Linear { .. } => Some(format!("fc{idx}")),
+            TemplateKind::Relu => Some(format!("abrelu{idx}")),
+            TemplateKind::MaxPool { .. } => Some(format!("maxpool{idx}")),
+            TemplateKind::AvgPool { .. } => Some(format!("avgpool{idx}")),
+            TemplateKind::GlobalAvgPool { .. } => Some(format!("gap{idx}")),
+            TemplateKind::Rescale { .. } => Some(format!("rescale{idx}")),
+            TemplateKind::Flatten | TemplateKind::Residual { .. } => None,
+        }
     }
 }
 
@@ -608,7 +471,7 @@ fn provider_share(
 /// (depth-first, residual main before shortcut) so PRG stream consumption
 /// stays in lockstep across parties. `cur_shape` tracks the activation
 /// tensor shape, which fixes each layer's compact triple shape (recorded
-/// as `a_shape` for [`bind_ops`] to draw the matching lane). Dealer- and
+/// as `a_shape` for [`bind_layers`] to draw the matching lane). Dealer- and
 /// channel-free by construction.
 #[allow(clippy::too_many_lines)]
 fn build_ops(
@@ -749,8 +612,9 @@ fn build_ops(
     Ok(out)
 }
 
-/// The online walk: per-inference protocol work only. Needs `&mut` access
-/// for the triple sources, which advance `b` `(A, Z)` pairs per pass.
+/// The online walk: per-inference protocol work only. Each Conv2d/Linear
+/// op takes the next bound layer from `layers`, whose slots advance `b`
+/// `(A, Z)` pairs per pass.
 ///
 /// Batch layout: activations stay flat with the image index as the
 /// slowest-varying axis — conv tensors are `[b·c, h, w]`, vectors
@@ -761,7 +625,8 @@ fn build_ops(
 #[allow(clippy::too_many_lines)]
 fn run_ops(
     ctx: &mut PartyContext,
-    ops: &mut [PreparedOp],
+    ops: &[TemplateOp],
+    layers: &mut std::slice::Iter<'_, BoundLayer>,
     mut x: AShare,
     b: usize,
 ) -> Result<AShare, ProtocolError> {
@@ -770,17 +635,23 @@ fn run_ops(
         PipelineMode::StayWide => q2,
         PipelineMode::NarrowActivations => ctx.q1(),
     };
-    for op in ops.iter_mut() {
+    for op in ops {
         let idx = op.idx;
-        let span = layer_label(idx, &op.kind).map(|name| ctx.span_begin(name, CAT_LAYER, &[]));
-        x = match &mut op.kind {
-            PreparedKind::Conv2d { geom, w_mat, bias, f_open, source, requant } => {
-                ctx.ep.set_phase(format!("conv{idx}"));
+        let span = op.kind.label(idx).map(|name| ctx.span_begin(name, CAT_LAYER, &[]));
+        x = match &op.kind {
+            TemplateKind::Conv2d { w_mat, bias, requant, .. }
+            | TemplateKind::Linear { w_mat, bias, requant, .. } => {
+                let layer = layers.next().expect("bind drew one layer per linear op");
+                ctx.ep.set_phase(layer.triples.label());
                 let gemm = ctx.span_begin("gemm", CAT_STAGE, &[]);
                 let x2 = if x.ring() == q2 { x } else { ctx.extend_share(&x, q2)? };
-                let g = *geom;
-                let triples = source.take_n(b, move |t| im2col_tensor(t, &g))?;
-                let acc = secure_conv2d_prepared(ctx, &x2, b, geom, w_mat, bias, f_open, &triples)?;
+                let triples = layer.triples.take_n(b)?;
+                let f_open = &layer.f_open;
+                let acc = if let TemplateKind::Conv2d { geom, .. } = &op.kind {
+                    secure_conv2d_prepared(ctx, &x2, b, geom, w_mat, bias, f_open, &triples)?
+                } else {
+                    secure_linear_prepared(ctx, &x2, b, w_mat, bias, f_open, &triples)?
+                };
                 ctx.span_end(gemm);
                 ctx.ep.set_phase(format!("bnreq{idx}"));
                 let bnreq = ctx.span_begin("bnreq", CAT_STAGE, &[]);
@@ -788,29 +659,11 @@ fn run_ops(
                 ctx.span_end(bnreq);
                 r
             }
-            PreparedKind::Linear { w_mat, bias, f_open, source, requant } => {
-                ctx.ep.set_phase(format!("fc{idx}"));
-                let gemm = ctx.span_begin("gemm", CAT_STAGE, &[]);
-                let x2 = if x.ring() == q2 { x } else { ctx.extend_share(&x, q2)? };
-                let in_f = x2.len() / b;
-                let triples = source.take_n(b, move |t| {
-                    let mut m = t.clone();
-                    m.reshape(vec![1, in_f]).expect("row vector");
-                    m
-                })?;
-                let acc = secure_linear_prepared(ctx, &x2, b, w_mat, bias, f_open, &triples)?;
-                ctx.span_end(gemm);
-                ctx.ep.set_phase(format!("bnreq{idx}"));
-                let bnreq = ctx.span_begin("bnreq", CAT_STAGE, &[]);
-                let r = requant_share(ctx, &acc, *requant, act_ring)?;
-                ctx.span_end(bnreq);
-                r
-            }
-            PreparedKind::Relu => {
+            TemplateKind::Relu => {
                 ctx.ep.set_phase(format!("abrelu{idx}"));
                 abrelu(ctx, &x)?
             }
-            PreparedKind::MaxPool { c, out_hw, windows } => {
+            TemplateKind::MaxPool { c, out_hw, windows } => {
                 ctx.ep.set_phase(format!("maxpool{idx}"));
                 let out = if b == 1 {
                     secure_max_windows(ctx, &x, windows)?
@@ -830,32 +683,32 @@ fn run_ops(
                 t.reshape(vec![b * *c, out_hw.0, out_hw.1])?;
                 AShare::from_tensor(t)
             }
-            PreparedKind::AvgPool { k, stride, pad, c, in_hw, out_hw, requant } => {
+            TemplateKind::AvgPool { k, stride, pad, c, in_hw, out_hw, requant } => {
                 ctx.ep.set_phase(format!("avgpool{idx}"));
                 let x2 = if x.ring() == q2 { x } else { ctx.extend_share(&x, q2)? };
                 let sums = pool_sum(&x2, b * *c, *in_hw, *k, *stride, *pad, *out_hw);
                 requant_share(ctx, &sums, *requant, act_ring)?
             }
-            PreparedKind::GlobalAvgPool { c, spatial, requant } => {
+            TemplateKind::GlobalAvgPool { c, spatial, requant } => {
                 ctx.ep.set_phase(format!("gap{idx}"));
                 let x2 = if x.ring() == q2 { x } else { ctx.extend_share(&x, q2)? };
                 let sums = channel_sum(&x2, b * *c, *spatial);
                 requant_share(ctx, &sums, *requant, act_ring)?
             }
-            PreparedKind::Flatten => {
+            TemplateKind::Flatten => {
                 let mut t = x.into_tensor();
                 let n = t.len();
                 t.reshape(vec![n])?;
                 AShare::from_tensor(t)
             }
-            PreparedKind::Rescale { requant } => {
+            TemplateKind::Rescale { requant } => {
                 ctx.ep.set_phase(format!("rescale{idx}"));
                 let x2 = if x.ring() == q2 { x } else { ctx.extend_share(&x, q2)? };
                 requant_share(ctx, &x2, *requant, act_ring)?
             }
-            PreparedKind::Residual { main, shortcut } => {
-                let m = run_ops(ctx, main, x.clone(), b)?;
-                let s = run_ops(ctx, shortcut, x, b)?;
+            TemplateKind::Residual { main, shortcut } => {
+                let m = run_ops(ctx, main, layers, x.clone(), b)?;
+                let s = run_ops(ctx, shortcut, layers, x, b)?;
                 ctx.ep.set_phase(format!("resadd{idx}"));
                 let add_span = ctx.span_begin(format!("resadd{idx}"), CAT_LAYER, &[]);
                 let mut mt = m.into_tensor();

@@ -2,8 +2,12 @@
 //! endpoint pair — an in-process [`aq2pnn_transport::duplex`] link, a TCP
 //! loopback session, or a fault-injected link. The same protocol code runs
 //! unchanged over each.
+//!
+//! The parties share nothing but the link (and, for `Exact` configs, the
+//! ideal oracle): each builds its own prepared model and, when asked for
+//! a background dealer, its own [`DealerHub`], as two processes would.
 
-use crate::dealer::DealerConfig;
+use crate::dealer::{DealerConfig, DealerHub};
 use crate::engine::BatchInput;
 use crate::oracle::IdealOracle;
 use crate::prepared::PreparedModel;
@@ -72,8 +76,8 @@ pub struct RunPlan {
     /// Images per online pass ([`PreparedModel::run_batch`]); `0` counts
     /// as `1`.
     pub batch: usize,
-    /// When set, both parties move their triple lanes into a background
-    /// [`crate::dealer::DealerPool`], warmed before the first pass.
+    /// When set, each party registers its triple slots with a
+    /// [`DealerHub`] of its own, warmed before the first pass.
     pub dealer: Option<DealerConfig>,
     /// Party 0's tracer and metrics. With [`PartyObs::enabled`] handles
     /// the protocol opens a span per layer and per stage and records
@@ -128,8 +132,9 @@ pub fn run_two_party(
         };
         ctx.set_obs(obs.tracer.clone(), obs.metrics.clone());
         let mut prepared = PreparedModel::prepare(ctx, model)?;
-        let _pool = plan.dealer.map(|d| {
-            let pool = prepared.spawn_dealer(ctx, d);
+        let hub = plan.dealer.map(|_| DealerHub::new());
+        let _pool = plan.dealer.zip(hub.as_ref()).map(|(d, hub)| {
+            let pool = prepared.spawn_dealer(ctx, d, hub);
             let _ = pool.wait_warm(Duration::from_secs(10));
             pool
         });

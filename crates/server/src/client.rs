@@ -149,8 +149,17 @@ pub fn run_client(
     let batch = cfg.batch.max(1);
 
     // 1. Admission on the raw link: Hello out, verdict in. A Shed frame
-    //    or a version mismatch surfaces here as its typed error.
-    link.send(Frame::control(FrameKind::Hello, 0, 0).encode().into())?;
+    //    or a version mismatch surfaces here as its typed error. A server
+    //    that sheds at accept time replies and closes at once, so the
+    //    Hello send can fail with the verdict already queued: read it.
+    if let Err(sent) = link.send(Frame::control(FrameKind::Hello, 0, 0).encode().into()) {
+        let shed = link
+            .recv(Some(cfg.admission_timeout))
+            .ok()
+            .and_then(|verdict| Frame::decode(&verdict).ok())
+            .is_some_and(|frame| frame.kind == FrameKind::Shed);
+        return Err(if shed { ClientError::Shed } else { sent.into() });
+    }
     let verdict = link.recv(Some(cfg.admission_timeout))?;
     let frame = Frame::decode(&verdict)?;
     let stream = match frame.kind {

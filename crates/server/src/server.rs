@@ -677,7 +677,7 @@ fn serve_session(
     let mut ctx = PartyContext::new(PartyId::ModelProvider, ep, pcfg, None);
     ctx.set_obs(inner.tracer.clone(), inner.metrics.clone());
     let mut prepared = template.bind(&mut ctx).map_err(run)?;
-    let _pool = cfg.dealer.as_ref().map(|d| prepared.spawn_dealer_on(&ctx, *d, &inner.hub));
+    let _pool = cfg.dealer.as_ref().map(|d| prepared.spawn_dealer(&ctx, *d, &inner.hub));
 
     let total = req.count as usize;
     let batch = req.batch as usize;

@@ -164,7 +164,7 @@ macro_rules! note {
     ($($fn_name:ident => $field:ident),* $(,)?) => {
         impl SessionState {
             $(fn $fn_name(&mut self) {
-                self.telemetry.$field += 1;
+                self.telemetry.lock().unwrap_or_else(PoisonError::into_inner).$field += 1;
                 self.metrics.$field.inc();
             })*
         }
@@ -184,8 +184,10 @@ note! {
 impl SessionState {
     fn note_backoff(&mut self, slept: Duration) {
         let ms = u64::try_from(slept.as_millis()).unwrap_or(u64::MAX);
-        self.telemetry.backoff_sleeps += 1;
-        self.telemetry.backoff_ms += ms;
+        let mut t = self.telemetry.lock().unwrap_or_else(PoisonError::into_inner);
+        t.backoff_sleeps += 1;
+        t.backoff_ms += ms;
+        drop(t);
         self.metrics.backoff_sleeps.inc();
         self.metrics.backoff_ms.add(ms);
     }
@@ -202,7 +204,10 @@ struct SessionState {
     /// caller (e.g. drained while waiting for acks during send).
     inbox: VecDeque<Bytes>,
     recv_since_ack: u64,
-    telemetry: SessionTelemetry,
+    /// Shared with [`Session::telemetry`], which reads it without the
+    /// state lock: a receive holds that lock for as long as it blocks.
+    /// Leaf lock, always taken after `st`.
+    telemetry: Arc<Mutex<SessionTelemetry>>,
     metrics: SessionMetrics,
     /// When `Some`, every frame written to the link (data, control,
     /// retransmissions alike) is appended — the eavesdropper's true wire
@@ -223,6 +228,7 @@ pub struct Session {
     /// are misrouted and discarded.
     stream: u64,
     st: Mutex<SessionState>,
+    telemetry: Arc<Mutex<SessionTelemetry>>,
 }
 
 impl Drop for Session {
@@ -257,6 +263,7 @@ impl Session {
     /// as misrouted and dropped.
     #[must_use]
     pub fn with_stream(link: Arc<dyn Transport>, cfg: SessionConfig, stream: u64) -> Self {
+        let telemetry = Arc::new(Mutex::new(SessionTelemetry::default()));
         Session {
             link,
             cfg,
@@ -268,16 +275,18 @@ impl Session {
                 replay: VecDeque::new(),
                 inbox: VecDeque::new(),
                 recv_since_ack: 0,
-                telemetry: SessionTelemetry::default(),
+                telemetry: Arc::clone(&telemetry),
                 metrics: SessionMetrics::default(),
                 wire_capture: None,
             }),
+            telemetry,
         }
     }
 
-    /// Repair-work counters so far.
+    /// Repair-work counters so far. Never waits on a receive in
+    /// progress.
     pub fn telemetry(&self) -> SessionTelemetry {
-        self.lock().telemetry
+        *self.telemetry.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// The stream ID this session stamps on its frames.
@@ -292,7 +301,7 @@ impl Session {
     pub fn attach_metrics(&self, reg: &MetricsRegistry) {
         let mut st = self.lock();
         let m = SessionMetrics::bound_to(reg, self.stream);
-        let t = st.telemetry;
+        let t = *st.telemetry.lock().unwrap_or_else(PoisonError::into_inner);
         m.retransmits.add(t.retransmits);
         m.reconnects.add(t.reconnects);
         m.naks_sent.add(t.naks_sent);
@@ -801,6 +810,25 @@ mod tests {
         let (one, two) = reader.join().unwrap();
         assert_eq!(&one[..], &[1]);
         assert_eq!(&two[..], &[2]);
+    }
+
+    /// Monitoring reads must not queue behind a receive: `recv` holds the
+    /// state lock for as long as it blocks, and the server's `/sessions`
+    /// table reads every live session's telemetry.
+    #[test]
+    fn telemetry_does_not_wait_on_a_blocked_recv() {
+        let (a, b) = session_pair(SessionConfig::default());
+        std::thread::scope(|s| {
+            let reader = s.spawn(|| a.recv(Some(Duration::from_secs(30))));
+            // Wait until the receive holds the state lock.
+            while a.st.try_lock().is_ok() {
+                std::thread::yield_now();
+            }
+            assert_eq!(a.telemetry(), SessionTelemetry::default());
+            assert!(a.st.try_lock().is_err(), "telemetry waited for the receive to end");
+            drop(b);
+            assert!(reader.join().expect("reader thread").is_err());
+        });
     }
 
     #[test]

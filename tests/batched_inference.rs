@@ -14,7 +14,7 @@
 //! prepare fresh (so both consume triples `0..B` of every lane) and the
 //! logits must agree to the last bit.
 
-use aq2pnn::dealer::{DealerConfig, DealerPool, ExhaustionPolicy, ExpandFn};
+use aq2pnn::dealer::{DealerConfig, DealerHub, ExhaustionPolicy, ExpandFn};
 use aq2pnn::engine::BatchInput;
 use aq2pnn::prepared::PreparedModel;
 use aq2pnn::sim::{run_pair, run_two_party, RunPlan};
@@ -173,8 +173,10 @@ fn dealer_exhaustion_surfaces_typed_error() {
     let mut dealer = TripleDealer::from_seed(0xd00d);
     let (lane, _peer) = dealer.expanded_lane(Ring::new(16), &[1, 4], &[4, 3]);
     let expand: ExpandFn = Box::new(RingTensor::clone);
-    let pool = DealerPool::new(
-        &ctx,
+    let hub = DealerHub::new();
+    let pool = hub.register(
+        &ctx.tracer,
+        &ctx.metrics,
         vec![("fc0".to_string(), lane, expand)],
         DealerConfig { depth: DEPTH, policy: ExhaustionPolicy::Fail },
     );

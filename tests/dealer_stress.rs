@@ -1,4 +1,4 @@
-//! Multi-producer/multi-consumer stress for [`DealerPool`]: the always-on
+//! Multi-producer/multi-consumer stress for a [`DealerHub`] pool: the always-on
 //! companion to the `cfg(loom)` models (which explore small schedules
 //! exhaustively; this hammers big ones probabilistically and runs in every
 //! plain `cargo test`, including the ThreadSanitizer CI job).
@@ -13,13 +13,11 @@
 //! * **no lost wakeups**: after the storm the refill loop must rewarm the
 //!   queue to full depth within a generous deadline.
 
-use aq2pnn::dealer::{DealerConfig, DealerPool, ExhaustionPolicy, ExpandFn};
-use aq2pnn::{PartyContext, ProtocolConfig};
+use aq2pnn::dealer::{DealerConfig, DealerHub, ExhaustionPolicy, ExpandFn};
+use aq2pnn::substrate::obs::{MetricsRegistry, Tracer};
 use aq2pnn_ring::{Ring, RingTensor};
 use aq2pnn_sharing::beaver::TripleShare;
 use aq2pnn_sharing::dealer::TripleDealer;
-use aq2pnn_sharing::PartyId;
-use aq2pnn_transport::duplex;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
 
@@ -30,10 +28,6 @@ const DEPTH: usize = 4; // ≪ TOTAL: the refill loop parks and re-wakes constan
 
 /// Drives one full storm at the current `AQ2PNN_THREADS` setting.
 fn storm(seed: u64) {
-    let cfg = ProtocolConfig::paper(16);
-    let (e0, _e1) = duplex();
-    let ctx = PartyContext::new(PartyId::User, e0, cfg, None);
-
     let mut dealer = TripleDealer::from_seed(seed);
     let (lane, _peer) = dealer.expanded_lane(Ring::new(16), &[1, 4], &[4, 3]);
 
@@ -45,8 +39,10 @@ fn storm(seed: u64) {
     let index_of = |t: &TripleShare| expected.iter().position(|e| e == t);
 
     let expand: ExpandFn = Box::new(RingTensor::clone);
-    let pool = DealerPool::new(
-        &ctx,
+    let hub = DealerHub::new();
+    let pool = hub.register(
+        &Tracer::disabled(),
+        &MetricsRegistry::disabled(),
         vec![("fc0".to_string(), lane, expand)],
         DealerConfig { depth: DEPTH, policy: ExhaustionPolicy::GenerateInline },
     );

@@ -3,7 +3,7 @@
 //! openings) exactly once, and every subsequent run is online-only.
 
 use aq2pnn::engine::BatchInput;
-use aq2pnn::prepared::PreparedModel;
+use aq2pnn::prepared::{PreparedModel, PreparedTemplate};
 use aq2pnn::sim::{run_pair, run_two_party, RunPlan};
 use aq2pnn::ProtocolConfig;
 use aq2pnn_nn::data::SyntheticVision;
@@ -12,6 +12,7 @@ use aq2pnn_nn::quant::{QuantConfig, QuantModel};
 use aq2pnn_nn::zoo;
 use aq2pnn_sharing::PartyId;
 use aq2pnn_transport::{duplex, ChannelStats};
+use std::sync::Arc;
 
 fn trained_model(seed: u64) -> (QuantModel, SyntheticVision) {
     let data = SyntheticVision::tiny(4, seed);
@@ -118,4 +119,62 @@ fn one_image_session_equals_prepare_plus_one_run() {
         run_two_party(duplex(), &model, &cfg, &[&image], &RunPlan::default()).expect("2pc runs");
     assert_eq!(single.logits, runs[0].0);
     assert_eq!(single.user_stats.total_bytes(), prep.total_bytes() + runs[0].1.total_bytes());
+}
+
+/// One party's side of a single-image session: logits, channel stats, and
+/// the bound model (kept so the caller controls its lifetime).
+type BoundRun = (Vec<Vec<i64>>, ChannelStats, PreparedModel);
+
+/// One single-image session. The user always runs a full `prepare`; the
+/// provider binds `template` when given, and prepares fully otherwise.
+fn single_session(
+    cfg: &ProtocolConfig,
+    model: &QuantModel,
+    image: &[f32],
+    template: Option<&Arc<PreparedTemplate>>,
+) -> (BoundRun, BoundRun) {
+    run_pair(duplex(), cfg, |ctx| {
+        let mut prepared = match (ctx.id, template) {
+            (PartyId::ModelProvider, Some(t)) => t.bind(ctx),
+            _ => PreparedModel::prepare(ctx, model),
+        }
+        .expect("prepare succeeds");
+        let input = match ctx.id {
+            PartyId::User => BatchInput::User(&[image]),
+            PartyId::ModelProvider => BatchInput::Provider { batch: 1 },
+        };
+        let logits = prepared.run_batch(ctx, input).expect("run succeeds").logits;
+        (logits, ctx.ep.stats(), prepared)
+    })
+}
+
+/// Provider sessions bound from one shared template are indistinguishable
+/// from full `prepare`s — same logits, same per-phase traffic on both
+/// sides — and each live bound model holds the template by reference
+/// rather than a copy: the `Arc` count rises by one per model and falls
+/// back once they drop.
+#[test]
+fn sessions_bound_from_one_template_match_full_prepares() {
+    let (model, data) = trained_model(920);
+    let cfg = ProtocolConfig::paper(16);
+    let image = data.test()[0].image.clone();
+    let (ref_user, ref_provider) = single_session(&cfg, &model, &image, None);
+
+    let template = Arc::new(
+        PreparedTemplate::build(PartyId::ModelProvider, &cfg, &model).expect("template builds"),
+    );
+    assert_eq!(Arc::strong_count(&template), 1);
+    let mut live = Vec::new();
+    for k in 1..=2 {
+        let (user, provider) = single_session(&cfg, &model, &image, Some(&template));
+        assert_eq!(user.0, ref_user.0, "session {k}: user logits differ from prepare/prepare");
+        assert_eq!(provider.0, ref_provider.0, "session {k}: provider logits differ");
+        assert_eq!(user.1, ref_user.1, "session {k}: user per-phase traffic differs");
+        assert_eq!(provider.1, ref_provider.1, "session {k}: provider per-phase traffic differs");
+        drop(user.2);
+        live.push(provider.2);
+        assert_eq!(Arc::strong_count(&template), 1 + k, "one reference per live bound model");
+    }
+    drop(live);
+    assert_eq!(Arc::strong_count(&template), 1, "dropped models must release the template");
 }

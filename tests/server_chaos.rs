@@ -31,7 +31,8 @@ use aq2pnn_server::{
     MemConnector, ModelRegistry, ServerConfig, ServerObs,
 };
 use aq2pnn_transport::{
-    session_metric_name, FaultAction, FaultPlan, FaultyTransport, Frame, FrameKind, SessionConfig,
+    mem_pair, session_metric_name, FaultAction, FaultPlan, FaultyTransport, Frame, FrameKind,
+    SessionConfig, Transport,
 };
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
@@ -362,6 +363,27 @@ fn overload_is_shed_with_a_typed_error_immediately() {
     assert_eq!(c.shed, 1);
     assert_eq!(c.completed, 1);
     server.drain();
+}
+
+/// The race behind shedding at accept time, made deterministic: the
+/// server's `Shed` is already queued and the link already closed when
+/// the client sends its `Hello`. The failed send must not hide the
+/// verdict.
+#[test]
+fn shed_verdict_is_read_even_when_the_hello_send_fails() {
+    let (server_end, client_end) = mem_pair();
+    server_end.send(Frame::control(FrameKind::Shed, 0, 0).encode().into()).expect("send Shed");
+    server_end.shutdown();
+
+    let started = Instant::now();
+    let err = run_client(Arc::new(client_end), &client_cfg(), &fixture().1, &images(1))
+        .expect_err("a shed client must fail");
+    let elapsed = started.elapsed();
+    assert_eq!(err, ClientError::Shed);
+    assert!(
+        elapsed < Duration::from_secs(2),
+        "shed must be immediate, took {elapsed:?} (admission timeout is 5 s)"
+    );
 }
 
 // ---------------------------------------------------------------------------
